@@ -1,8 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: build test race bench bench-serve bench-tick bench-tick-smoke bench-shard bench-shard-smoke bench-checkpoint bench-checkpoint-smoke bench-trace quick check cover fuzzseeds serve-smoke fault-smoke fleet-smoke trace-smoke
-
-NPROC := $(shell nproc)
+.PHONY: build test race bench bench-smoke quick check cover fuzzseeds serve-smoke fault-smoke fleet-smoke trace-smoke
 
 build:
 	go build ./...
@@ -23,9 +21,7 @@ check:
 	go run ./cmd/adaptnoc-fleet -smoke
 	$(MAKE) fault-smoke
 	$(MAKE) trace-smoke
-	$(MAKE) bench-tick-smoke
-	$(MAKE) bench-shard-smoke
-	$(MAKE) bench-checkpoint-smoke
+	$(MAKE) bench-smoke
 	$(MAKE) cover
 
 # cover runs the suite with cross-package coverage (root-package tests
@@ -55,72 +51,13 @@ race:
 	go test -race ./internal/exp -run DeterministicAcrossParallelism
 	go test -race -run 'TestSharded|TestFault' .
 
+# bench runs the performance ledger, all eight workloads end to end
+# (benchmark/README.md); bench-smoke runs its tests (also part of check).
 bench:
-	go test -bench=. -benchtime=1x
+	bash benchmark/run.sh -seed 2021 -json .bench_build/ledger.json
 
-# bench-tick measures the steady-state Network.Tick benchmark (5 runs) and
-# gates it against the committed pre-optimization baseline: fail on >10%
-# mean ns/op regression or any allocs/op at all, and record the before/after
-# comparison in BENCH_tick.json.
-bench-tick:
-	go test -run '^$$' -bench 'BenchmarkNetworkTick$$' -benchmem -count 5 \
-		./internal/noc | tee /tmp/adaptnoc_bench_tick_after.txt
-	go run ./cmd/adaptnoc-benchdiff -bench BenchmarkNetworkTick \
-		-before internal/noc/testdata/bench_tick_before.txt \
-		-after /tmp/adaptnoc_bench_tick_after.txt \
-		-require-zero-allocs -json BENCH_tick.json
-
-# bench-tick-smoke is the fast gate wired into check: one short benchmark
-# iteration plus the comparator end-to-end. Timing on a loaded CI box is
-# meaningless at this length, so the ns gate is opened wide; the allocs/op
-# gate is deterministic and is the real assertion (the tick loop must stay
-# allocation-free).
-bench-tick-smoke:
-	go test -run '^$$' -bench 'BenchmarkNetworkTick$$' -benchmem -benchtime 100x \
-		./internal/noc | tee /tmp/adaptnoc_bench_tick_smoke.txt
-	go run ./cmd/adaptnoc-benchdiff -bench BenchmarkNetworkTick \
-		-before internal/noc/testdata/bench_tick_before.txt \
-		-after /tmp/adaptnoc_bench_tick_smoke.txt \
-		-require-zero-allocs -max-ns-regress 400 -json /tmp/adaptnoc_bench_tick_smoke.json
-
-# bench-shard measures the region-parallel tick across chip sizes
-# (BenchmarkNetworkTickSharded: 8x8 through 64x64, serial vs one shard per
-# core) and records the per-size serial-vs-sharded comparison in
-# BENCH_shard.json — the "before" column is the shards=1 row and the
-# "after" column the shards=$(NPROC) row of the SAME run. On a 4+ core
-# host the 32x32 row is additionally gated: sharding must be at least 2x
-# faster than serial or the target fails. On fewer cores the numbers are
-# recorded without the speedup gate (a 1-core host only has serial rows).
-SHARD_BENCHES := BenchmarkNetworkTickSharded/8x8/shards=1,BenchmarkNetworkTickSharded/16x16/shards=1,BenchmarkNetworkTickSharded/32x32/shards=1,BenchmarkNetworkTickSharded/64x64/shards=1
-SHARD_AFTER := BenchmarkNetworkTickSharded/8x8/shards=$(NPROC),BenchmarkNetworkTickSharded/16x16/shards=$(NPROC),BenchmarkNetworkTickSharded/32x32/shards=$(NPROC),BenchmarkNetworkTickSharded/64x64/shards=$(NPROC)
-bench-shard:
-	go test -run '^$$' -bench BenchmarkNetworkTickSharded -benchmem -count 3 \
-		./internal/noc | tee /tmp/adaptnoc_bench_shard.txt
-	go run ./cmd/adaptnoc-benchdiff \
-		-bench '$(SHARD_BENCHES)' -after-bench '$(SHARD_AFTER)' \
-		-before /tmp/adaptnoc_bench_shard.txt -after /tmp/adaptnoc_bench_shard.txt \
-		-require-zero-allocs -max-ns-regress 10000 -json BENCH_shard.json
-	@if [ $(NPROC) -ge 4 ]; then \
-		go run ./cmd/adaptnoc-benchdiff \
-			-bench 'BenchmarkNetworkTickSharded/32x32/shards=1' \
-			-after-bench 'BenchmarkNetworkTickSharded/32x32/shards=$(NPROC)' \
-			-before /tmp/adaptnoc_bench_shard.txt -after /tmp/adaptnoc_bench_shard.txt \
-			-max-ns-regress -50; \
-	else \
-		echo "bench-shard: $(NPROC) core(s) < 4, 2x speedup gate at 32x32 not armed"; \
-	fi
-
-# bench-shard-smoke is the fast gate wired into check: the 16x16 rows at a
-# short benchtime, asserting the sharded tick path works end-to-end and
-# stays allocation-free. Timing is not gated at this length.
-bench-shard-smoke:
-	go test -run '^$$' -bench 'BenchmarkNetworkTickSharded/16x16' -benchmem -benchtime 100x \
-		./internal/noc | tee /tmp/adaptnoc_bench_shard_smoke.txt
-	go run ./cmd/adaptnoc-benchdiff \
-		-bench 'BenchmarkNetworkTickSharded/16x16/shards=1' \
-		-after-bench 'BenchmarkNetworkTickSharded/16x16/shards=$(NPROC)' \
-		-before /tmp/adaptnoc_bench_shard_smoke.txt -after /tmp/adaptnoc_bench_shard_smoke.txt \
-		-require-zero-allocs -max-ns-regress 10000 -json /tmp/adaptnoc_bench_shard_smoke.json
+bench-smoke:
+	go -C benchmark test ./...
 
 # serve-smoke boots the daemon on a loopback port, round-trips one job
 # over real HTTP, and verifies the cache-hit path (also part of check).
@@ -156,50 +93,6 @@ trace-smoke:
 		> /tmp/adaptnoc_trace_replay_sharded.json
 	cmp /tmp/adaptnoc_trace_replay_serial.json /tmp/adaptnoc_trace_replay_sharded.json
 	@echo "trace-smoke: shard-identical replay OK"
-
-# bench-trace records the trace-replay comparison in BENCH_trace.json:
-# the "before" column is the live synthetic mixed run the recorder
-# captures and the "after" column the same traffic replayed from the
-# recorded dependency graph. Replay carries the dependency bookkeeping on
-# top of the same network simulation, so it is gated to stay within 2x of
-# the live run. Each replay iteration also decodes the trace blob into
-# per-node dependency state, so allocs/op is legitimately higher than the
-# live run's — the gate allows that setup cost an explicit headroom
-# instead of demanding alloc parity.
-bench-trace:
-	go test -run '^$$' -bench 'BenchmarkTrace(LiveRun|Replay)$$' -benchmem -count 3 \
-		. | tee /tmp/adaptnoc_bench_trace.txt
-	go run ./cmd/adaptnoc-benchdiff -bench BenchmarkTraceLiveRun \
-		-after-bench BenchmarkTraceReplay \
-		-before /tmp/adaptnoc_bench_trace.txt -after /tmp/adaptnoc_bench_trace.txt \
-		-max-ns-regress 100 -max-allocs-regress 200000 -json BENCH_trace.json
-
-# bench-serve measures one uncached simulation against repeated cached
-# submissions of the identical request and records BENCH_serve.json.
-bench-serve:
-	go run ./cmd/adaptnoc-serve -benchjson BENCH_serve.json
-
-# bench-checkpoint measures full-checkpoint blob size/encode/restore time
-# per design point plus a warm rolling delta chain at -checkpoint-every
-# 1000 granularity (the producer pattern serve and ChainWriter use),
-# records BENCH_checkpoint.json, and gates the steady-regime rows: a delta
-# must be at least 5x smaller and 3x faster to encode than the full
-# snapshot it chains from. The measurement also proves base + deltas
-# reconstructs the full blob byte-for-byte at the chain tip's cycle.
-bench-checkpoint:
-	go test -run TestCheckpointBenchRecord -checkpoint-benchjson BENCH_checkpoint.json .
-	go run ./cmd/adaptnoc-benchdiff -checkpoint BENCH_checkpoint.json
-
-# bench-checkpoint-smoke is the fast gate wired into check: one reduced
-# steady-regime measurement (delta encode + the base-plus-deltas restore
-# identity assertion inside the bench) plus the benchdiff checkpoint
-# parser end-to-end. Timing is meaningless at this length, so the encode
-# gate is opened; the size ratio is deterministic enough to keep armed low.
-bench-checkpoint-smoke:
-	go test -run TestCheckpointBenchRecord -checkpoint-bench-smoke \
-		-checkpoint-benchjson /tmp/adaptnoc_bench_checkpoint_smoke.json .
-	go run ./cmd/adaptnoc-benchdiff -checkpoint /tmp/adaptnoc_bench_checkpoint_smoke.json \
-		-min-delta-size-ratio 2 -min-delta-encode-speedup 0
 
 quick:
 	go run ./cmd/adaptnoc-experiments -quick

@@ -361,10 +361,10 @@ func BenchmarkTabSwitching(b *testing.B) {
 }
 
 // Trace record/replay microbenchmarks. BenchmarkTraceLiveRun is the
-// "before" column of BENCH_trace.json (the synthetic mixed workload the
-// recorder captures) and BenchmarkTraceReplay the "after" column (the
-// same traffic re-driven from the recorded dependency graph), so the
-// recorded JSON shows what replay costs relative to the live run.
+// synthetic mixed workload the recorder captures and BenchmarkTraceReplay
+// the same traffic re-driven from the recorded dependency graph (decode
+// included in every iteration), so the pair shows what replay costs
+// relative to the live run.
 const traceBenchCycles = 4000
 
 func traceBenchConfig() adaptnoc.Config {

@@ -25,14 +25,16 @@ package adaptnoc
 //	kernel   — clock and future-event list; restored last so events
 //	           scheduled during construction and replay are discarded
 //
-// The sealed blob is framed and gzip-compressed by snap.Seal; restore
-// accepts both the current compressed format and the uncompressed v1
-// framing older builds wrote (see snap.OpenBody). Beyond that framing
-// shim, a checkpoint is only valid for the exact simulator version that
-// wrote it.
+// The sealed blob is framed and gzip-compressed by snap.Seal. A checkpoint
+// is only valid for the exact simulator version that wrote it.
+//
+// Every checkpoint walks every section. What keeps a rolling delta cheap
+// is one dirty-tracking tier, inside internal/noc: quiescent routers,
+// channels and NIs splice their previous encoding instead of re-encoding
+// (noc.SnapshotVerify is its tripwire), and the frame encoder's part-level
+// content compare turns unchanged bytes into COPY ops.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -43,15 +45,12 @@ import (
 )
 
 // deltaCache remembers the sections of the most recent checkpoint so the
-// next CheckpointDelta can (a) diff against them with part-level
-// alignment and (b) skip re-encoding layers whose generation counters
-// have not moved since. It is an encoder-side cache only: dropping it
-// never changes what restores, just how much work the next delta costs.
+// next CheckpointDeltaChained can diff against them with part-level
+// alignment. It is an encoder-side cache only: dropping it never changes
+// what restores, just how much work the next delta costs.
 type deltaCache struct {
-	bodyHash  [32]byte
-	secs      []snap.DeltaSection
-	gens      sectionGens
-	gensValid bool
+	bodyHash [32]byte
+	secs     []snap.DeltaSection
 
 	// Reuse pools carried from generation to generation so a steady-state
 	// delta allocates (almost) nothing: retired section buffers keyed by
@@ -64,95 +63,30 @@ type deltaCache struct {
 	enc     *snap.DeltaEncoder
 }
 
-// sectionGens records the generation counters of the layers whose walks
-// are worth skipping. The machine, net, and kernel sections serialize the
-// cycle counter and advance every tick, so they are always walked and
-// rely on part-level content compare instead (tracking their mutation
-// sites would put a counter bump on the hot path).
-type sectionGens struct {
-	config  []byte // canonical config JSON — immutable for a sim's lifetime
-	fabric  uint64
-	fault   uint64
-	meter   uint64
-	control uint64
-	oscar   uint64
-}
-
-// deltaDebugVerify makes checkpointSections re-walk every gen-skipped
-// section and fail loudly if the generation counter lied about
-// quiescence. Tests arm it; production leaves it off.
-var deltaDebugVerify = false
-
-func (s *Sim) currentGens(cfgJSON []byte) sectionGens {
-	g := sectionGens{config: cfgJSON}
-	if s.Fabric != nil {
-		g.fabric = s.Fabric.Gen()
-	}
-	if s.faults != nil {
-		g.fault = s.faults.Gen() + s.Machine.DropGen()
-	}
-	g.meter = s.Meter.Gen()
-	if s.Ctl != nil {
-		g.control = s.Ctl.StateGen()
-	}
-	if s.OSCAR != nil {
-		g.oscar = s.OSCAR.Gen()
-	}
-	return g
-}
-
 // checkpointSections walks the layers and returns the section list a full
-// checkpoint body consists of, in blob order. When prev carries valid
-// generation counters, sections whose generation has not moved reuse the
-// cached bytes without re-walking the layer.
-func (s *Sim) checkpointSections(prev *deltaCache) ([]snap.DeltaSection, sectionGens, error) {
-	var gens sectionGens
+// checkpoint body consists of, in blob order. A chained walk (prev != nil)
+// writes over the buffers prev retired instead of allocating.
+func (s *Sim) checkpointSections(prev *deltaCache) ([]snap.DeltaSection, error) {
 	if s.Cfg.RL.SharedAgent != nil {
-		return nil, gens, fmt.Errorf("adaptnoc: a simulation with an in-process shared agent cannot be checkpointed")
+		return nil, fmt.Errorf("adaptnoc: a simulation with an in-process shared agent cannot be checkpointed")
 	}
-	usePrev := prev != nil && prev.gensValid
+	// The config section body is the raw JSON, not Writer-framed, and the
+	// config is immutable for a sim's lifetime — a chained walk shares the
+	// previous generation's encoding (always section 0).
 	var cfgJSON []byte
-	if usePrev {
-		cfgJSON = prev.gens.config
-	}
-	if cfgJSON == nil {
+	if prev != nil {
+		cfgJSON = prev.secs[0].Body
+	} else {
 		var err error
 		if cfgJSON, err = json.Marshal(s.Cfg); err != nil {
-			return nil, gens, fmt.Errorf("adaptnoc: encoding config: %w", err)
+			return nil, fmt.Errorf("adaptnoc: encoding config: %w", err)
 		}
 	}
-	gens = s.currentGens(cfgJSON)
+	secs := []snap.DeltaSection{{Name: "config", Body: cfgJSON}}
 
-	var secs []snap.DeltaSection
-	cached := func(name string) *snap.DeltaSection {
-		if !usePrev {
-			return nil
-		}
-		for i := range prev.secs {
-			if prev.secs[i].Name == name {
-				return &prev.secs[i]
-			}
-		}
-		return nil
-	}
-	// add appends a section, reusing prev's encoding when the layer's
-	// generation is unchanged (clean == true).
-	add := func(name string, clean bool, build func(w *snap.Writer) error) error {
-		if c := cached(name); c != nil && clean {
-			if deltaDebugVerify {
-				var w snap.Writer
-				if err := build(&w); err != nil {
-					return err
-				}
-				if !bytes.Equal(w.Bytes(), c.Body) {
-					return fmt.Errorf("adaptnoc: section %q changed but its generation counter did not — missed mutation site", name)
-				}
-			}
-			secs = append(secs, *c)
-			return nil
-		}
+	add := func(name string, build func(w *snap.Writer) error) error {
 		var w snap.Writer
-		if usePrev {
+		if prev != nil {
 			if sc, ok := prev.scratch[name]; ok {
 				delete(prev.scratch, name)
 				w.ResetWith(sc.Body, sc.Parts)
@@ -165,80 +99,74 @@ func (s *Sim) checkpointSections(prev *deltaCache) ([]snap.DeltaSection, section
 		return nil
 	}
 
-	// The config section body is the raw JSON, not Writer-framed, and the
-	// config is immutable for a sim's lifetime — no walk, no diff.
-	secs = append(secs, snap.DeltaSection{Name: "config", Body: cfgJSON})
-
 	if s.Fabric != nil {
-		if err := add("fabric", usePrev && gens.fabric == prev.gens.fabric, func(w *snap.Writer) error {
+		if err := add("fabric", func(w *snap.Writer) error {
 			s.Fabric.Snapshot(w)
 			return nil
 		}); err != nil {
-			return nil, gens, err
+			return nil, err
 		}
 	}
 	if s.faults != nil {
-		if err := add("fault", usePrev && gens.fault == prev.gens.fault, func(w *snap.Writer) error {
+		if err := add("fault", func(w *snap.Writer) error {
 			s.faults.Snapshot(w)
 			s.Machine.SnapshotDrops(w)
 			return nil
 		}); err != nil {
-			return nil, gens, err
+			return nil, err
 		}
 	}
-	if err := add("machine", false, func(w *snap.Writer) error {
+	if err := add("machine", func(w *snap.Writer) error {
 		s.Machine.Snapshot(w)
 		return nil
 	}); err != nil {
-		return nil, gens, err
+		return nil, err
 	}
-	// The workload sources advance every tick alongside the machine, so
-	// the section is always walked; part-level diffing keeps deltas small.
-	if err := add("source", false, func(w *snap.Writer) error {
+	if err := add("source", func(w *snap.Writer) error {
 		s.Machine.SnapshotSources(w)
 		return nil
 	}); err != nil {
-		return nil, gens, err
+		return nil, err
 	}
-	if err := add("net", false, func(w *snap.Writer) error {
+	if err := add("net", func(w *snap.Writer) error {
 		if err := s.Net.Snapshot(w, s.Machine); err != nil {
 			return fmt.Errorf("adaptnoc: snapshotting network: %w", err)
 		}
 		return nil
 	}); err != nil {
-		return nil, gens, err
+		return nil, err
 	}
-	if err := add("meter", usePrev && gens.meter == prev.gens.meter, func(w *snap.Writer) error {
+	if err := add("meter", func(w *snap.Writer) error {
 		s.Meter.Snapshot(w)
 		return nil
 	}); err != nil {
-		return nil, gens, err
+		return nil, err
 	}
 	switch {
 	case s.Ctl != nil:
-		if err := add("control", usePrev && gens.control == prev.gens.control, func(w *snap.Writer) error {
+		if err := add("control", func(w *snap.Writer) error {
 			s.Ctl.Snapshot(w)
 			return s.Ctl.SnapshotPolicies(w)
 		}); err != nil {
-			return nil, gens, err
+			return nil, err
 		}
 	case s.OSCAR != nil:
-		if err := add("oscar", usePrev && gens.oscar == prev.gens.oscar, func(w *snap.Writer) error {
+		if err := add("oscar", func(w *snap.Writer) error {
 			s.OSCAR.Snapshot(w)
 			return nil
 		}); err != nil {
-			return nil, gens, err
+			return nil, err
 		}
 	}
-	if err := add("kernel", false, func(w *snap.Writer) error {
+	if err := add("kernel", func(w *snap.Writer) error {
 		if err := s.Kernel.Snapshot(w); err != nil {
 			return fmt.Errorf("adaptnoc: snapshotting kernel: %w", err)
 		}
 		return nil
 	}); err != nil {
-		return nil, gens, err
+		return nil, err
 	}
-	return secs, gens, nil
+	return secs, nil
 }
 
 // Checkpoint serializes the complete simulation state. The simulation can
@@ -249,12 +177,12 @@ func (s *Sim) checkpointSections(prev *deltaCache) ([]snap.DeltaSection, section
 // cannot be checkpointed: the handle has no serialized form inside the
 // blob's config, so a restore could not rebuild the sharing.
 func (s *Sim) Checkpoint() ([]byte, error) {
-	secs, gens, err := s.checkpointSections(nil)
+	secs, err := s.checkpointSections(nil)
 	if err != nil {
 		return nil, err
 	}
 	body := snap.JoinSections(secs)
-	d := &deltaCache{bodyHash: snap.BodyHash(body), secs: secs, gens: gens, gensValid: true, body: body}
+	d := &deltaCache{bodyHash: snap.BodyHash(body), secs: secs, body: body}
 	if old := s.delta; old != nil {
 		d.enc = old.enc
 	}
@@ -262,59 +190,18 @@ func (s *Sim) Checkpoint() ([]byte, error) {
 	return snap.Seal(body), nil
 }
 
-// CheckpointDelta serializes the simulation as a delta frame against the
-// given full base blob: only what changed since the base is encoded, and
-// quiescent layers are skipped entirely via their generation counters.
-// snap.ApplyChain(base, frame) reproduces the byte-identical blob a full
-// Checkpoint would have returned.
-//
-// The fast path requires the base to be this simulation's most recent
-// Checkpoint/CheckpointDelta (the usual rolling-chain producer pattern);
-// any other valid base still works, at the cost of a coarser, slower
-// cold diff.
-func (s *Sim) CheckpointDelta(base []byte) ([]byte, error) {
-	baseBody, err := snap.OpenBody(base)
-	if err != nil {
-		return nil, fmt.Errorf("adaptnoc: delta base: %w", err)
-	}
-	baseHash := snap.BodyHash(baseBody)
-	prev := s.delta
-	if prev == nil || prev.bodyHash != baseHash {
-		baseSecs, err := snap.SplitSections(baseBody)
-		if err != nil {
-			return nil, fmt.Errorf("adaptnoc: delta base: %w", err)
-		}
-		// Cold base: no part marks and no trusted generation counters —
-		// every layer is walked and diffed at whole-section granularity.
-		prev = &deltaCache{bodyHash: baseHash, secs: baseSecs}
-	}
-	return s.checkpointDeltaAgainst(prev)
-}
-
-// CheckpointDeltaChained encodes a delta against the state captured by
-// this simulation's most recent Checkpoint or CheckpointDelta* call —
-// the producer side of a rolling base + delta chain, where the previous
-// sealed blob is not kept around.
+// CheckpointDeltaChained encodes a delta frame against the state captured
+// by this simulation's most recent Checkpoint or CheckpointDeltaChained
+// call — the producer side of a rolling base + delta chain, where the
+// previous sealed blob is not kept around. Only what changed since is
+// encoded: snap.ApplyChain(base, frames...) reproduces the byte-identical
+// blob a full Checkpoint would have returned.
 func (s *Sim) CheckpointDeltaChained() ([]byte, error) {
-	if s.delta == nil {
+	prev := s.delta
+	if prev == nil {
 		return nil, fmt.Errorf("adaptnoc: no checkpoint taken yet to chain a delta onto")
 	}
-	return s.checkpointDeltaAgainst(s.delta)
-}
-
-// CheckpointBodyHash reports the body hash of this simulation's most
-// recent Checkpoint/CheckpointDelta* — the chain tip a consumer needs to
-// name when negotiating deltas against a remote copy of the base. ok is
-// false before the first checkpoint.
-func (s *Sim) CheckpointBodyHash() (hash [32]byte, ok bool) {
-	if s.delta == nil {
-		return hash, false
-	}
-	return s.delta.bodyHash, true
-}
-
-func (s *Sim) checkpointDeltaAgainst(prev *deltaCache) ([]byte, error) {
-	secs, gens, err := s.checkpointSections(prev)
+	secs, err := s.checkpointSections(prev)
 	if err != nil {
 		return nil, err
 	}
@@ -324,53 +211,30 @@ func (s *Sim) checkpointDeltaAgainst(prev *deltaCache) ([]byte, error) {
 		prev.enc = new(snap.DeltaEncoder)
 	}
 	frame := prev.enc.Encode(prev.secs, secs, prev.bodyHash, newHash)
-	d := &deltaCache{bodyHash: newHash, secs: secs, gens: gens, gensValid: true,
-		body: body, enc: prev.enc}
-	d.scratch = harvestSections(prev, secs)
-	s.delta = d
+	// Once the frame is encoded the previous generation's section buffers
+	// are dead, and their capacity is exactly what the same sections want
+	// next interval. The config body is shared by every generation and
+	// stays out of the pool.
+	scratch := prev.scratch // emptied by the walk
+	if scratch == nil {
+		scratch = make(map[string]snap.DeltaSection, len(prev.secs))
+	}
+	for _, old := range prev.secs[1:] {
+		scratch[old.Name] = old
+	}
+	s.delta = &deltaCache{bodyHash: newHash, secs: secs, scratch: scratch, body: body, enc: prev.enc}
 	return frame, nil
 }
 
-// harvestSections collects the retired generation's buffers for the next
-// walk to reuse: once the frame diffing prev.secs against secs has been
-// encoded, any prev section whose storage the new list does not alias is
-// dead, and its capacity is exactly what the same section wants next
-// interval. Cold caches (gensValid false) wrap memory the caller may still
-// own — a split of their base blob — and donate nothing.
-func harvestSections(prev *deltaCache, secs []snap.DeltaSection) map[string]snap.DeltaSection {
-	if !prev.gensValid {
-		return nil
+// CheckpointBodyHash reports the body hash of this simulation's most
+// recent Checkpoint/CheckpointDeltaChained — the chain tip a consumer
+// needs to name when negotiating deltas against a remote copy of the base.
+// ok is false before the first checkpoint.
+func (s *Sim) CheckpointBodyHash() (hash [32]byte, ok bool) {
+	if s.delta == nil {
+		return hash, false
 	}
-	scratch := prev.scratch // entries the walk consumed were deleted
-	put := func(sc snap.DeltaSection) {
-		if scratch == nil {
-			scratch = make(map[string]snap.DeltaSection, len(prev.secs))
-		}
-		scratch[sc.Name] = sc
-	}
-	for i := range prev.secs {
-		old := &prev.secs[i]
-		// The config body aliases the cached canonical JSON, which every
-		// generation shares; empty bodies carry no storage worth keeping.
-		if old.Name == "config" || len(old.Body) == 0 {
-			continue
-		}
-		if cur := findSection(secs, old.Name); cur != nil && len(cur.Body) > 0 && &cur.Body[0] == &old.Body[0] {
-			continue // clean section: the new generation still reads these bytes
-		}
-		put(snap.DeltaSection{Name: old.Name, Body: old.Body, Parts: old.Parts})
-	}
-	return scratch
-}
-
-// findSection locates a section by name in a small blob-ordered list.
-func findSection(secs []snap.DeltaSection, name string) *snap.DeltaSection {
-	for i := range secs {
-		if secs[i].Name == name {
-			return &secs[i]
-		}
-	}
-	return nil
+	return s.delta.bodyHash, true
 }
 
 // RestoreSim rebuilds a simulation from a checkpoint blob, in this or any

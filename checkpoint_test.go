@@ -10,24 +10,14 @@ package adaptnoc_test
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"adaptnoc"
 	"adaptnoc/internal/rl"
 	"adaptnoc/internal/sim"
-	"adaptnoc/internal/snap"
 )
-
-var checkpointBenchJSON = flag.String("checkpoint-benchjson", "",
-	"write checkpoint encode size/time measurements to this file (TestCheckpointBenchRecord)")
-
-var checkpointBenchSmoke = flag.Bool("checkpoint-bench-smoke", false,
-	"record a reduced single-config measurement (fast CI smoke; timing numbers are not meaningful)")
 
 // chkConfig is the mixed workload at reduced epoch size, so a checkpoint
 // mid-run lands several epochs in under the Adapt designs.
@@ -190,43 +180,6 @@ func TestRestoreRejectsTruncation(t *testing.T) {
 	}
 }
 
-// TestRestoreAcceptsV1Blob proves checkpoints written by pre-compression
-// builds still restore: the same sections framed with the uncompressed v1
-// header (magic + version word 1 + raw body) must produce the same
-// simulation as the current compressed framing.
-func TestRestoreAcceptsV1Blob(t *testing.T) {
-	s, err := adaptnoc.NewSim(chkConfig(adaptnoc.DesignAdaptNoC))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Run(5000)
-	blob, err := s.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := snap.OpenBody(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1 := []byte(snap.Magic)
-	v1 = append(v1, byte(snap.VersionRaw), 0, 0, 0)
-	v1 = append(v1, body...)
-
-	a, err := adaptnoc.RestoreSim(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := adaptnoc.RestoreSim(v1)
-	if err != nil {
-		t.Fatalf("v1-framed blob rejected: %v", err)
-	}
-	a.Run(5000)
-	b.Run(5000)
-	if av, bv := resultsJSON(t, a.Results()), resultsJSON(t, b.Results()); !bytes.Equal(av, bv) {
-		t.Errorf("v1 restore diverged:\n got %s\nwant %s", bv, av)
-	}
-}
-
 func FuzzRestoreSim(f *testing.F) {
 	s, err := adaptnoc.NewSim(chkConfig(adaptnoc.DesignAdaptNoC))
 	if err != nil {
@@ -259,158 +212,4 @@ func FuzzRestoreSim(f *testing.F) {
 			}
 		}
 	})
-}
-
-// checkpointBenchRec is one BENCH_checkpoint.json row. Full-snapshot
-// columns (bytes/encode/restore) keep their original meaning; the delta
-// columns measure a warm rolling chain at -checkpoint-every granularity:
-// run `every` cycles, CheckpointDeltaChained, repeat — the producer
-// pattern serve's per-job chain and ChainWriter use. Rows in the "steady"
-// regime (a small app region on a mostly-idle grid, the state every
-// long-running campaign spends most of its wall-clock in) carry the
-// perf gate adaptnoc-benchdiff -checkpoint enforces; "active" rows
-// (the saturated 8x8 mixed workload) are recorded ungated — under full
-// load most component records change every interval, so per-frame wins
-// there are honest but modest.
-type checkpointBenchRec struct {
-	Design             string  `json:"design"`
-	Regime             string  `json:"regime"` // "active" | "steady"
-	Grid               string  `json:"grid,omitempty"`
-	Cycle              int64   `json:"cycle"`
-	Bytes              int     `json:"bytes"`
-	EncodeSec          float64 `json:"encode_sec"`
-	RestoreSec         float64 `json:"restore_sec"`
-	LivePackets        int64   `json:"live_packets"`
-	CheckpointEvery    int64   `json:"checkpoint_every"`
-	DeltaBytes         int     `json:"delta_bytes"`
-	DeltaEncodeSec     float64 `json:"delta_encode_sec"`
-	DeltaSizeRatio     float64 `json:"delta_size_ratio"`
-	DeltaEncodeSpeedup float64 `json:"delta_encode_speedup"`
-}
-
-// measureCheckpoint benches one configuration: mean full encode/restore
-// after warmup cycles, then a rolling delta chain (`iters` frames, one
-// every `every` cycles), and finally the identity proof — base ⊕ frames
-// must reproduce, byte for byte, the full checkpoint at the chain tip's
-// cycle.
-func measureCheckpoint(t *testing.T, cfg adaptnoc.Config, warmup, every adaptnoc.Cycle, iters int) checkpointBenchRec {
-	t.Helper()
-	s, err := adaptnoc.NewSim(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Run(warmup)
-
-	var blob []byte
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		if blob, err = s.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	encode := time.Since(start).Seconds() / float64(iters)
-
-	start = time.Now()
-	var restored *adaptnoc.Sim
-	for i := 0; i < iters; i++ {
-		if restored, err = adaptnoc.RestoreSim(blob); err != nil {
-			t.Fatal(err)
-		}
-	}
-	restore := time.Since(start).Seconds() / float64(iters)
-	live := restored.Net.TotalEnqueued - restored.Net.TotalDelivered
-
-	// Warm rolling chain off the full checkpoint just taken.
-	frames := make([][]byte, 0, iters)
-	deltaBytes := 0
-	var deltaSec float64
-	for i := 0; i < iters; i++ {
-		s.Run(every)
-		start = time.Now()
-		frame, err := s.CheckpointDeltaChained()
-		if err != nil {
-			t.Fatal(err)
-		}
-		deltaSec += time.Since(start).Seconds()
-		deltaBytes += len(frame)
-		frames = append(frames, frame)
-	}
-	deltaSec /= float64(iters)
-	deltaBytes /= iters
-
-	// Identity: the chain must reconstruct the exact blob a full
-	// checkpoint writes at the same cycle — the bench doubles as the
-	// restore-correctness smoke for the measured path.
-	rebuilt, err := snap.ApplyChain(blob, frames...)
-	if err != nil {
-		t.Fatalf("applying measured delta chain: %v", err)
-	}
-	full, err := s.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(rebuilt, full) {
-		t.Fatalf("base ⊕ %d deltas differs from the full checkpoint at cycle %d", len(frames), s.Kernel.Now())
-	}
-
-	return checkpointBenchRec{
-		Design: cfg.Design.String(), Cycle: int64(s.Kernel.Now()), Bytes: len(blob),
-		EncodeSec: encode, RestoreSec: restore, LivePackets: live,
-		CheckpointEvery: int64(every), DeltaBytes: deltaBytes, DeltaEncodeSec: deltaSec,
-		DeltaSizeRatio:     float64(len(blob)) / float64(deltaBytes),
-		DeltaEncodeSpeedup: encode / deltaSec,
-	}
-}
-
-// TestCheckpointBenchRecord measures full-checkpoint and delta-chain
-// encode size and time per design and writes BENCH_checkpoint.json when
-// -checkpoint-benchjson is set (wired to `make bench-checkpoint`, which
-// then gates the steady rows through adaptnoc-benchdiff -checkpoint).
-func TestCheckpointBenchRecord(t *testing.T) {
-	if *checkpointBenchJSON == "" {
-		t.Skip("set -checkpoint-benchjson to record")
-	}
-	const every = 1000
-	var recs []checkpointBenchRec
-
-	// Steady regime: one small app region on a mostly-idle grid. The
-	// splice-cached snapshot walk and part-aligned diff make these deltas
-	// both far smaller and far cheaper than the full encode; larger grids
-	// widen the gap because the untouched area grows while the delta stays
-	// the size of the active region.
-	steady := func(dim int, warmup adaptnoc.Cycle, iters int) {
-		cfg := adaptnoc.Config{
-			Design: adaptnoc.DesignBaseline, Width: dim, Height: dim,
-			Apps: []adaptnoc.AppSpec{{Profile: "blackscholes", Region: adaptnoc.Region{W: 4, H: 4}}},
-			Seed: 1234,
-		}
-		rec := measureCheckpoint(t, cfg, warmup, every, iters)
-		rec.Regime = "steady"
-		rec.Grid = fmt.Sprintf("%dx%d", dim, dim)
-		recs = append(recs, rec)
-	}
-
-	if *checkpointBenchSmoke {
-		// One reduced steady config: proves the delta chain applies and
-		// the row schema parses end-to-end. Timing is not meaningful at
-		// this length; benchdiff's smoke invocation gates size only.
-		steady(16, 6000, 4)
-	} else {
-		for d := adaptnoc.DesignBaseline; d < adaptnoc.NumDesigns; d++ {
-			rec := measureCheckpoint(t, chkConfig(d), 20000, every, 8)
-			rec.Regime = "active"
-			recs = append(recs, rec)
-		}
-		steady(24, 20000, 8)
-		steady(32, 20000, 8)
-	}
-
-	out, err := json.MarshalIndent(recs, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(*checkpointBenchJSON, append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fmt.Printf("wrote %s (%d rows)\n", *checkpointBenchJSON, len(recs))
 }

@@ -3,9 +3,8 @@
 //
 // Usage:
 //
-//	adaptnoc-experiments [-quick] [-parallel n] [-fig list] [-benchjson file]
-//	                     [-pprof addr] [-checkpoint dir] [-checkpoint-every n]
-//	                     [-resume]
+//	adaptnoc-experiments [-quick] [-parallel n] [-fig list] [-pprof addr]
+//	                     [-checkpoint dir] [-checkpoint-every n] [-resume]
 //
 // -checkpoint persists every simulation's state to the named directory
 // (content-addressed by canonical config, refreshed every
@@ -24,23 +23,16 @@
 // -parallel bounds how many independent simulations run at once (0 = one
 // per CPU, 1 = serial). Results are identical at any setting; see
 // internal/runner for the determinism contract.
-//
-// -benchjson additionally times every selected figure twice — serial and
-// at the requested parallelism — and writes the wall-clock comparison as
-// machine-readable JSON (the emitted tables come from the parallel pass).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
-	"time"
 
 	"adaptnoc"
 	"adaptnoc/internal/exp"
@@ -60,26 +52,6 @@ func parseCounts(s string) ([]int, error) {
 	return counts, nil
 }
 
-// benchUnit is one figure's wall-clock record in the -benchjson output.
-type benchUnit struct {
-	Figure      string  `json:"figure"`
-	SerialSec   float64 `json:"serial_sec"`
-	ParallelSec float64 `json:"parallel_sec"`
-	Speedup     float64 `json:"speedup"`
-}
-
-// benchFile is the -benchjson document.
-type benchFile struct {
-	Quick            bool        `json:"quick"`
-	Seed             uint64      `json:"seed"`
-	Parallelism      int         `json:"parallelism"`
-	GOMAXPROCS       int         `json:"gomaxprocs"`
-	Units            []benchUnit `json:"units"`
-	TotalSerialSec   float64     `json:"total_serial_sec"`
-	TotalParallelSec float64     `json:"total_parallel_sec"`
-	Speedup          float64     `json:"speedup"`
-}
-
 func main() {
 	quick := flag.Bool("quick", false, "reduced-fidelity runs (seconds instead of minutes)")
 	csvOut := flag.Bool("csv", false, "emit CSV instead of aligned tables")
@@ -87,7 +59,6 @@ func main() {
 	seed := flag.Uint64("seed", 0, "override the random seed (0 keeps the default)")
 	parallel := flag.Int("parallel", 0, "simulations to run at once (0 = one per CPU, 1 = serial)")
 	shards := flag.Int("shards", 1, "network tick shards per simulation: 1 = serial, k > 1 = k parallel row bands, 0 = auto by chip size")
-	benchJSON := flag.String("benchjson", "", "write serial-vs-parallel wall-clock JSON to this file")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	checkpoint := flag.String("checkpoint", "", "persist per-simulation checkpoints to this directory")
 	checkpointEvery := flag.Int64("checkpoint-every", 0, "cycles between checkpoint saves (0 = only at the end of each run)")
@@ -152,34 +123,7 @@ func main() {
 		fail(err)
 	}
 
-	var bench benchFile
 	for _, u := range units {
-		if *benchJSON != "" {
-			serial := o
-			serial.Parallelism = 1
-			start := time.Now()
-			if _, err := u.Run(serial); err != nil {
-				fail(err)
-			}
-			serialSec := time.Since(start).Seconds()
-			start = time.Now()
-			ts, err := u.Run(o)
-			if err != nil {
-				fail(err)
-			}
-			parSec := time.Since(start).Seconds()
-			rec := benchUnit{Figure: u.Key, SerialSec: serialSec, ParallelSec: parSec}
-			if parSec > 0 {
-				rec.Speedup = serialSec / parSec
-			}
-			bench.Units = append(bench.Units, rec)
-			bench.TotalSerialSec += serialSec
-			bench.TotalParallelSec += parSec
-			for _, t := range ts {
-				emit(t)
-			}
-			continue
-		}
 		ts, err := u.Run(o)
 		if err != nil {
 			fail(err)
@@ -187,25 +131,5 @@ func main() {
 		for _, t := range ts {
 			emit(t)
 		}
-	}
-
-	if *benchJSON != "" {
-		bench.Quick = *quick
-		bench.Seed = o.Seed
-		bench.Parallelism = *parallel
-		bench.GOMAXPROCS = runtime.GOMAXPROCS(0)
-		if bench.TotalParallelSec > 0 {
-			bench.Speedup = bench.TotalSerialSec / bench.TotalParallelSec
-		}
-		data, err := json.MarshalIndent(bench, "", "  ")
-		if err != nil {
-			fail(err)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*benchJSON, data, 0o644); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "adaptnoc-experiments: wrote %s (serial %.1fs, parallel %.1fs, speedup %.2fx)\n",
-			*benchJSON, bench.TotalSerialSec, bench.TotalParallelSec, bench.Speedup)
 	}
 }

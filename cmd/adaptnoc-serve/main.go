@@ -9,15 +9,12 @@
 // (adaptnoc-fleet) and heartbeats until shutdown; -public-url overrides
 // the advertised address when the daemon sits behind NAT or a proxy.
 //
-// Two self-driving modes exist for CI:
+// One self-driving mode exists for CI:
 //
 //	-smoke          start on a loopback port, submit one small simulation
 //	                to itself, verify the result parses and the
 //	                resubmission is a byte-identical cache hit, drain,
 //	                exit 0 — the gate that the whole serving path works.
-//	-benchjson F    measure one uncached run against repeated cached
-//	                submissions of the same request and write the
-//	                wall-clock comparison to F (BENCH_serve.json).
 package main
 
 import (
@@ -51,7 +48,6 @@ func main() {
 		ckptBytes  = flag.Int64("checkpointbytes", 256<<20, "on-disk checkpoint directory budget in bytes (LRU eviction)")
 		drainSecs  = flag.Int("drain", 60, "seconds to wait for in-flight jobs on shutdown")
 		smoke      = flag.Bool("smoke", false, "run the loopback self-test and exit")
-		benchJSON  = flag.String("benchjson", "", "measure cached-vs-uncached throughput, write JSON to this file, and exit")
 		enroll     = flag.String("enroll", "", "register with a fleet coordinator at this URL and heartbeat")
 		publicURL  = flag.String("public-url", "", "URL the coordinator should reach this daemon at (default derived from -addr)")
 	)
@@ -72,25 +68,19 @@ func main() {
 		CheckpointBytes: *ckptBytes,
 	})
 
-	if *smoke || *benchJSON != "" {
+	if *smoke {
 		cl, stop, err := startLoopback(srv)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if *smoke {
-			err = runSmoke(cl)
-		} else {
-			err = runBench(cl, *benchJSON)
-		}
+		err = runSmoke(cl)
 		if stopErr := stop(); err == nil {
 			err = stopErr
 		}
 		if err != nil {
 			log.Fatal(err)
 		}
-		if *smoke {
-			fmt.Println("smoke: ok")
-		}
+		fmt.Println("smoke: ok")
 		return
 	}
 
@@ -204,24 +194,18 @@ func (c *client) wait(info serve.JobInfo, timeout time.Duration) (serve.JobInfo,
 	return info, nil
 }
 
-// benchRequest is the measured workload: the paper's mixed workload under
-// the full Adapt-NoC design for four control epochs.
-func benchRequest() serve.Request {
-	return serve.Request{
+// runSmoke exercises the serving path end to end: submit the paper's mixed
+// workload under the full Adapt-NoC design, wait, parse, resubmit for a
+// byte-identical cache hit.
+func runSmoke(cl *client) error {
+	req := serve.Request{
 		Config: adaptnoc.Config{
 			Design: adaptnoc.DesignAdaptNoC,
 			Apps:   adaptnoc.DefaultMixed(0),
 			Seed:   2021,
 		},
-		Cycles: 200000,
+		Cycles: 20000,
 	}
-}
-
-// runSmoke exercises the serving path end to end: submit, wait, parse,
-// resubmit for a byte-identical cache hit.
-func runSmoke(cl *client) error {
-	req := benchRequest()
-	req.Cycles = 20000
 	info, err := cl.submit(req)
 	if err != nil {
 		return fmt.Errorf("smoke: %w", err)
@@ -250,61 +234,5 @@ func runSmoke(cl *client) error {
 	if !bytes.Equal(again.Results, info.Results) {
 		return fmt.Errorf("smoke: cached results differ from computed results")
 	}
-	return nil
-}
-
-// runBench times one uncached run against repeated cached submissions of
-// the identical request and writes the comparison as JSON.
-func runBench(cl *client, path string) error {
-	req := benchRequest()
-
-	start := time.Now()
-	info, err := cl.submit(req)
-	if err != nil {
-		return err
-	}
-	if info, err = cl.wait(info, 10*time.Minute); err != nil {
-		return err
-	}
-	if info.State != serve.StateDone {
-		return fmt.Errorf("bench: job ended %s: %s", info.State, info.Error)
-	}
-	uncached := time.Since(start)
-
-	const cachedReqs = 50
-	start = time.Now()
-	for i := 0; i < cachedReqs; i++ {
-		again, err := cl.submit(req)
-		if err != nil {
-			return err
-		}
-		if again.Cache != "hit" {
-			return fmt.Errorf("bench: request %d missed the cache", i)
-		}
-	}
-	cachedMean := time.Since(start).Seconds() / cachedReqs
-
-	doc := struct {
-		Design         string  `json:"design"`
-		Seed           uint64  `json:"seed"`
-		Cycles         int64   `json:"cycles"`
-		UncachedSec    float64 `json:"uncached_sec"`
-		CachedRequests int     `json:"cached_requests"`
-		CachedMeanSec  float64 `json:"cached_mean_sec"`
-		Speedup        float64 `json:"speedup"`
-	}{
-		Design: req.Config.Design.String(), Seed: req.Config.Seed, Cycles: int64(req.Cycles),
-		UncachedSec: uncached.Seconds(), CachedRequests: cachedReqs, CachedMeanSec: cachedMean,
-		Speedup: uncached.Seconds() / cachedMean,
-	}
-	blob, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
-		return err
-	}
-	log.Printf("bench: uncached %.2fs, cached mean %.2fms, speedup %.0fx",
-		doc.UncachedSec, 1000*doc.CachedMeanSec, doc.Speedup)
 	return nil
 }

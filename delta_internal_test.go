@@ -1,12 +1,13 @@
 package adaptnoc
 
-// White-box guard for the generation counters. A counter that misses a
-// mutation site would make CheckpointDelta silently reuse stale bytes for
-// a changed layer — the one failure mode the self-validating frame format
+// White-box guard for the one dirty-tracking tier: internal/noc's
+// per-component splice caches. A router, channel or NI that reuses its
+// previous encoding after a mutation nobody marked would put stale bytes
+// in a checkpoint — the one failure mode the self-validating frame format
 // cannot catch, because the encoder computes the result hash over the
-// stale bytes it believed. deltaDebugVerify re-walks every skipped
-// section and errors on any divergence; running chains under it across
-// the designs is the regression net for newly added mutation sites.
+// stale bytes it believed. noc.SnapshotVerify re-serializes every
+// would-be splice and errors on any divergence; running chains under it
+// across the designs is the regression net for newly added mutation sites.
 
 import (
 	"testing"
@@ -15,10 +16,9 @@ import (
 	"adaptnoc/internal/noc"
 )
 
-func TestDeltaGenCountersTruthful(t *testing.T) {
-	deltaDebugVerify = true
+func TestSnapshotSpliceTruthful(t *testing.T) {
 	noc.SnapshotVerify = true
-	defer func() { deltaDebugVerify = false; noc.SnapshotVerify = false }()
+	defer func() { noc.SnapshotVerify = false }()
 
 	run := func(t *testing.T, cfg Config) {
 		s, err := NewSim(cfg)

@@ -142,28 +142,6 @@ type Controller struct {
 	bindings []*Binding
 	epoch    int
 	started  bool
-
-	// gen counts epoch-processing rounds; every serialized controller
-	// field mutates only inside Start/onEpoch, so together with the
-	// policy agents' own generations it identifies a quiescent control
-	// section for delta checkpointing.
-	gen uint64
-}
-
-// StateGen returns a generation covering everything the control section
-// serializes: the controller's own epoch state plus each binding's policy
-// agent.
-func (c *Controller) StateGen() uint64 {
-	g := c.gen
-	for _, b := range c.bindings {
-		switch p := b.Policy.(type) {
-		case *DQNPolicy:
-			g += p.Agent.Gen()
-		case *QTablePolicy:
-			g += p.Agent.Gen()
-		}
-	}
-	return g
 }
 
 // Kernel operation IDs owned by this package (range 300-399).
@@ -204,13 +182,11 @@ func (c *Controller) Start() {
 		panic("core: controller started twice")
 	}
 	c.started = true
-	c.gen++
 	c.kernel.AfterOp(sim.Cycle(c.EpochCycles), opCtlEpoch, 0, 0, 0)
 }
 
 // onEpoch processes every binding, then reschedules itself.
 func (c *Controller) onEpoch(now sim.Cycle) {
-	c.gen++
 	c.epoch++
 	for _, b := range c.bindings {
 		c.processBinding(b, now)

@@ -27,14 +27,7 @@ type OSCARController struct {
 
 	// Reallocations counts partition changes (diagnostic).
 	Reallocations int64
-
-	// gen counts epoch rounds for delta-checkpoint skipping; all
-	// serialized OSCAR state mutates only in Start/onEpoch.
-	gen uint64
 }
-
-// Gen returns the controller's snapshot-state generation counter.
-func (o *OSCARController) Gen() uint64 { return o.gen }
 
 // NewOSCARController installs the VC policy on every router of the
 // network. The partition binds only where applications contend: a packet
@@ -93,12 +86,10 @@ func (o *OSCARController) Start() {
 		panic("core: OSCAR controller started twice")
 	}
 	o.started = true
-	o.gen++
 	o.kernel.AfterOp(sim.Cycle(o.EpochCycles), opOscarEpoch, 0, 0, 0)
 }
 
 func (o *OSCARController) onEpoch(now sim.Cycle) {
-	o.gen++
 	// Demand = packets delivered for each app this epoch.
 	shares := make([]float64, len(o.apps))
 	var total float64

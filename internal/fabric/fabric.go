@@ -98,15 +98,7 @@ type Fabric struct {
 	// fabric at its first strike so damage repair and reconfiguration
 	// never race over the wiring. Freezing is permanent for the run.
 	frozen bool
-
-	// gen counts mutations of the state Snapshot serializes. Delta
-	// checkpointing compares it against the generation recorded at the
-	// previous snapshot to skip re-encoding a quiescent fabric.
-	gen uint64
 }
-
-// Gen returns the fabric's snapshot-state generation counter.
-func (f *Fabric) Gen() uint64 { return f.gen }
 
 // Freeze permanently disables topology switching; subsequent Reconfigure
 // calls become silent no-ops (their done callbacks still run).
@@ -154,7 +146,6 @@ func (f *Fabric) Allocate(app int, reg topology.Region, kind topology.Kind, mcTi
 	sn := &SubNoC{ID: f.nextID, App: app, Region: reg, Kind: kind, MCTile: mcTile,
 		MCTiles: append([]noc.NodeID{mcTile}, extraMCs...)}
 	f.nextID++
-	f.gen++
 	f.configureRegion(sn, kind)
 	f.subnocs = append(f.subnocs, sn)
 	return sn, nil
@@ -166,7 +157,6 @@ func (f *Fabric) Release(sn *SubNoC) error {
 	if !f.regionQuiescent(sn.Region) {
 		return fmt.Errorf("fabric: releasing subNoC %d with traffic in flight", sn.ID)
 	}
-	f.gen++
 	for _, sh := range f.sharesTouching(sn.Region) {
 		f.unshare(sn, sh)
 	}

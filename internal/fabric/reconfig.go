@@ -52,7 +52,6 @@ func (f *Fabric) Reconfigure(sn *SubNoC, kind topology.Kind, done func()) error 
 	}
 	sn.state = StateNotifying
 	sn.Reconfigs++
-	f.gen++
 	wave := f.notificationWave(sn.Region)
 	if done == nil {
 		// The normal (controller) path schedules descriptor events, so a
@@ -119,7 +118,6 @@ func (f *Fabric) notificationWave(reg topology.Region) sim.Cycle {
 // beginDrain gates injection and polls for quiescence.
 func (f *Fabric) beginDrain(sn *SubNoC, kind topology.Kind, start sim.Cycle, done func()) {
 	sn.state = StateDraining
-	f.gen++
 	f.GateRegion(sn.Region, true)
 	if done == nil {
 		f.kernel.AfterOp(1, opReconfigPoll, int64(sn.ID), int64(kind), int64(start))
@@ -161,7 +159,6 @@ func (f *Fabric) drainComplete(sn *SubNoC, start, now sim.Cycle) bool {
 // injection reopening after the Ts setup window.
 func (f *Fabric) performSwitch(sn *SubNoC, kind topology.Kind, now, gatedSince sim.Cycle, done func()) {
 	sn.state = StateSettingUp
-	f.gen++
 	f.switchTopology(sn, kind)
 	if done == nil {
 		f.kernel.AfterOp(sim.Cycle(f.cfg.SetupCycles), opReconfigOpen, int64(sn.ID), int64(gatedSince), 0)
@@ -202,7 +199,6 @@ func (f *Fabric) openRegion(sn *SubNoC, gatedSince, end sim.Cycle) {
 	f.GateRegion(sn.Region, false)
 	sn.state = StateActive
 	sn.ReconfigCycles += int64(end - gatedSince)
-	f.gen++
 }
 
 // ReconfigureBlocking runs a reconfiguration to completion by stepping the

@@ -89,12 +89,6 @@ type Engine struct {
 	sched  []Event
 	opts   Options
 
-	// gen counts mutations of the engine state Snapshot serializes, so
-	// delta checkpointing can skip a quiescent fault section (dropped-
-	// packet counters live on the network and machine and are folded in
-	// by Gen).
-	gen uint64
-
 	pending    []pendingAction
 	active     []bool
 	draining   bool
@@ -142,12 +136,10 @@ func New(net *noc.Network, kernel *sim.Kernel, fab *fabric.Fabric, sched []Event
 		savedGates: make([]bool, net.Cfg.NumNodes()),
 	}
 	kernel.RegisterOp(opFaultStrike, func(now sim.Cycle, args [3]int64) {
-		e.gen++
 		e.pending = append(e.pending, pendingAction{idx: int(args[0])})
 		e.beginDrain(now)
 	})
 	kernel.RegisterOp(opFaultRepair, func(now sim.Cycle, args [3]int64) {
-		e.gen++
 		e.pending = append(e.pending, pendingAction{idx: int(args[0]), repair: true})
 		e.beginDrain(now)
 	})
@@ -180,20 +172,12 @@ func (e *Engine) Extend(events []Event) error {
 		}
 	}
 	base := len(e.sched)
-	e.gen++
 	e.sched = append(e.sched, events...)
 	e.active = append(e.active, make([]bool, len(events))...)
 	for i := range events {
 		e.kernel.ScheduleOp(sim.Cycle(events[i].Cycle), opFaultStrike, int64(base+i), 0, 0)
 	}
 	return nil
-}
-
-// Gen returns the engine's snapshot-state generation. Dropped-packet
-// totals are serialized in the fault section but accounted on the network,
-// so they fold into the generation directly.
-func (e *Engine) Gen() uint64 {
-	return e.gen + uint64(e.net.TotalDropped) + uint64(e.net.TotalFlitsDropped)
 }
 
 // Schedule returns the full event schedule (do not mutate).
@@ -219,7 +203,6 @@ func (e *Engine) beginDrain(now sim.Cycle) {
 	if e.draining {
 		return
 	}
-	e.gen++
 	e.draining = true
 	e.drainStart = now
 	if e.fab != nil {
@@ -250,7 +233,6 @@ func (e *Engine) poll(now sim.Cycle) {
 			e.savedGates[i] = ni.Gated()
 			ni.SetGated(true)
 		}
-		e.gen++
 		e.gatedAll = true
 		e.repoll()
 		return
@@ -334,7 +316,6 @@ func (e *Engine) apply(now sim.Cycle) {
 	for i, g := range e.savedGates {
 		e.net.NI(noc.NodeID(i)).SetGated(g)
 	}
-	e.gen++
 	e.gatedAll = false
 	e.draining = false
 }
@@ -356,7 +337,6 @@ func (e *Engine) captureBase() {
 		}
 		e.baseDisabled[i] = r.Disabled()
 	}
-	e.gen++
 	e.baseTaken = true
 }
 

@@ -66,8 +66,7 @@ func steadyStateGrid(w, h, population, shards int) (net *noc.Network, step func(
 // loop — the per-cycle cost every simulation in the serving daemon and the
 // experiment drivers pays. The companion allocation test
 // (TestSteadyStateTickZeroAllocs) asserts the same workload allocates
-// nothing per tick; make bench-tick gates both against the recorded
-// baseline via cmd/adaptnoc-benchdiff.
+// nothing per tick.
 func BenchmarkNetworkTick(b *testing.B) {
 	_, step, delivered := steadyState(96)
 	for i := 0; i < 4000; i++ { // warm pools, queues, and work lists
@@ -86,10 +85,9 @@ func BenchmarkNetworkTick(b *testing.B) {
 // BenchmarkNetworkTickSharded measures the region-parallel tick across
 // chip sizes, serial vs one shard per core. The load scales with the chip
 // (1.5 packets per tile) so ns/cycle reflects per-cycle work growth, and
-// the speedup column of BENCH_shard.json is shards=N over shards=1 at
-// equal size. On a single-core host the sharded rows degenerate to the
-// serial path (SetShards clamps to what the gang can use, and the barrier
-// overhead is the measured cost).
+// the speedup is shards=N over shards=1 at equal size. On a single-core
+// host the sharded rows degenerate to the serial path (SetShards clamps to
+// what the gang can use, and the barrier overhead is the measured cost).
 func BenchmarkNetworkTickSharded(b *testing.B) {
 	ks := []int{1}
 	if shards := runtime.GOMAXPROCS(0); shards > 1 {

@@ -111,14 +111,7 @@ type Meter struct {
 
 	total       Breakdown
 	lastCollect map[noc.NodeID]sim.Cycle
-
-	// gen counts mutations of the state Snapshot serializes (energy
-	// accrual and collection timestamps), for delta-checkpoint skipping.
-	gen uint64
 }
-
-// Gen returns the meter's snapshot-state generation counter.
-func (m *Meter) Gen() uint64 { return m.gen }
 
 // NewMeter attaches a meter to a network.
 func NewMeter(net *noc.Network, p Params) *Meter {
@@ -183,7 +176,6 @@ func (w RegionWindow) AvgPowerMW(clockGHz float64) float64 {
 // windows reset; call exactly once per window per region (regions must not
 // overlap).
 func (m *Meter) CollectRegion(tiles []noc.NodeID, elapsedCycles int64) RegionWindow {
-	m.gen++
 	win := RegionWindow{Cycles: elapsedCycles}
 	var b Breakdown
 	cycleNS := 1.0 / m.P.ClockGHz
@@ -263,7 +255,6 @@ func (m *Meter) CollectRegion(tiles []noc.NodeID, elapsedCycles int64) RegionWin
 // AddRLInferences accounts n DQN forward passes to the total (and returns
 // their energy so the caller can fold it into a window).
 func (m *Meter) AddRLInferences(n int) float64 {
-	m.gen++
 	e := float64(n) * m.P.RLInferencePJ
 	m.total.RLPJ += e
 	return e

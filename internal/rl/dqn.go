@@ -88,14 +88,7 @@ type DQN struct {
 
 	// Inferences counts forward passes for the power model.
 	Inferences int64
-
-	// gen counts mutations of the state Snapshot serializes, for
-	// delta-checkpoint skipping of untrained, unqueried agents.
-	gen uint64
 }
-
-// Gen returns the agent's snapshot-state generation counter.
-func (d *DQN) Gen() uint64 { return d.gen }
 
 // NewDQN creates an agent with freshly initialized networks.
 func NewDQN(cfg DQNConfig, rng *sim.RNG) *DQN {
@@ -124,7 +117,6 @@ func NewDQNFromNet(cfg DQNConfig, net *Net, rng *sim.RNG) *DQN {
 
 // Select returns the ε-greedy action for a normalized state.
 func (d *DQN) Select(state []float64) int {
-	d.gen++
 	d.Inferences++
 	if d.rng.Float64() < d.Cfg.Epsilon {
 		return d.rng.Intn(NumActions)
@@ -134,14 +126,12 @@ func (d *DQN) Select(state []float64) int {
 
 // Greedy returns the pure-exploitation action.
 func (d *DQN) Greedy(state []float64) int {
-	d.gen++
 	d.Inferences++
 	return Argmax(d.Prediction.Forward(state))
 }
 
 // Observe stores a transition in the replay buffer.
 func (d *DQN) Observe(e Experience) {
-	d.gen++
 	d.Replay.Add(e)
 }
 
@@ -153,7 +143,6 @@ func (d *DQN) TrainIteration() float64 {
 	if d.Replay.Len() < d.Cfg.Minibatch {
 		return 0
 	}
-	d.gen++
 	var absErr float64
 	for i := 0; i < d.Cfg.Minibatch; i++ {
 		e := d.Replay.Sample(d.rng)

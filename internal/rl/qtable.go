@@ -17,14 +17,7 @@ type QTable struct {
 
 	q   map[string][]float64
 	rng *sim.RNG
-
-	// gen counts mutations of the state Snapshot serializes, for
-	// delta-checkpoint skipping.
-	gen uint64
 }
-
-// Gen returns the table's snapshot-state generation counter.
-func (t *QTable) Gen() uint64 { return t.gen }
 
 // NewQTable creates an agent with the paper's online hyper-parameters.
 func NewQTable(rng *sim.RNG) *QTable {
@@ -60,7 +53,6 @@ func (t *QTable) row(state []float64) []float64 {
 
 // Select returns the ε-greedy action.
 func (t *QTable) Select(state []float64) int {
-	t.gen++
 	if t.rng.Float64() < t.Epsilon {
 		return t.rng.Intn(NumActions)
 	}
@@ -69,7 +61,6 @@ func (t *QTable) Select(state []float64) int {
 
 // Update applies the Q-learning rule for an observed transition.
 func (t *QTable) Update(state []float64, action int, reward float64, next []float64) {
-	t.gen++
 	row := t.row(state)
 	var maxNext float64
 	if next != nil {

@@ -26,14 +26,11 @@ import (
 )
 
 // Magic and Version identify a checkpoint blob. Version bumps on any
-// format change. VersionRaw (1) framed the body uncompressed; Version (2)
-// gzip-compresses it. Readers accept both — a daemon upgraded in place
-// keeps restoring the blobs it wrote before the bump — but writers only
-// emit the current version.
+// format change; version 2 gzip-compresses the body, and readers accept
+// no other.
 const (
-	Magic      = "ADNOCKPT"
-	VersionRaw = 1
-	Version    = 2
+	Magic   = "ADNOCKPT"
+	Version = 2
 )
 
 // maxBodyBytes caps the decompressed size Open will produce (256 MiB —
@@ -391,11 +388,9 @@ func Seal(body []byte) []byte {
 }
 
 // OpenBody verifies a blob's magic and version and returns the decoded
-// body bytes: decompressed for current-version blobs, aliased directly for
-// VersionRaw ones (the uncompressed format older builds wrote). Unknown
-// versions and malformed compression are corruption errors, and the
-// decompressed size is capped so a malicious blob cannot demand an
-// arbitrary allocation.
+// body bytes, decompressed. Other versions and malformed compression are
+// corruption errors, and the decompressed size is capped so a malicious
+// blob cannot demand an arbitrary allocation.
 func OpenBody(blob []byte) ([]byte, error) {
 	r := NewReader(blob)
 	if r.Len() < len(Magic) {
@@ -409,28 +404,24 @@ func OpenBody(blob []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch v {
-	case VersionRaw:
-		return r.Rest(), nil
-	case Version:
-		zr, err := gzip.NewReader(bytes.NewReader(r.Rest()))
-		if err != nil {
-			return nil, &ErrCorrupt{Off: r.off, Msg: fmt.Sprintf("bad gzip body: %v", err)}
-		}
-		body, err := io.ReadAll(io.LimitReader(zr, maxBodyBytes+1))
-		if cerr := zr.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return nil, &ErrCorrupt{Off: r.off, Msg: fmt.Sprintf("bad gzip body: %v", err)}
-		}
-		if len(body) > maxBodyBytes {
-			return nil, &ErrCorrupt{Off: r.off, Msg: fmt.Sprintf("body exceeds %d bytes", maxBodyBytes)}
-		}
-		return body, nil
-	default:
-		return nil, r.corrupt(fmt.Sprintf("format version %d, want %d or %d", v, VersionRaw, Version))
+	if v != Version {
+		return nil, r.corrupt(fmt.Sprintf("format version %d, want %d", v, Version))
 	}
+	zr, err := gzip.NewReader(bytes.NewReader(r.Rest()))
+	if err != nil {
+		return nil, &ErrCorrupt{Off: r.off, Msg: fmt.Sprintf("bad gzip body: %v", err)}
+	}
+	body, err := io.ReadAll(io.LimitReader(zr, maxBodyBytes+1))
+	if cerr := zr.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return nil, &ErrCorrupt{Off: r.off, Msg: fmt.Sprintf("bad gzip body: %v", err)}
+	}
+	if len(body) > maxBodyBytes {
+		return nil, &ErrCorrupt{Off: r.off, Msg: fmt.Sprintf("body exceeds %d bytes", maxBodyBytes)}
+	}
+	return body, nil
 }
 
 // Open is OpenBody returning a Reader over the body.

@@ -131,6 +131,12 @@ func TestTruncationAndBombs(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("bad version: %v", err)
 	}
+	// The retired uncompressed v1 framing is a wrong version like any other.
+	blob[len(Magic)] = 1
+	_, err = Open(blob)
+	if err == nil || !strings.Contains(err.Error(), "format version 1, want 2") {
+		t.Fatalf("v1 header: %v", err)
+	}
 	blob[0] = 'X'
 	if _, err := Open(blob); err == nil {
 		t.Fatal("bad magic accepted")
@@ -154,29 +160,6 @@ func TestSealDeterministic(t *testing.T) {
 	a, b := Seal(body), Seal(body)
 	if string(a) != string(b) {
 		t.Fatal("Seal is not deterministic")
-	}
-}
-
-// TestOpenAcceptsV1 proves the decoder still reads the uncompressed v1
-// framing older builds wrote: magic, version word 1, raw body.
-func TestOpenAcceptsV1(t *testing.T) {
-	var w Writer
-	w.buf = append(w.buf, Magic...)
-	w.U32(VersionRaw)
-	w.I64(-7)
-	w.String("legacy")
-	r, err := Open(w.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, err := r.I64(); err != nil || v != -7 {
-		t.Fatalf("v1 body i64: %v %v", v, err)
-	}
-	if s, err := r.String(); err != nil || s != "legacy" {
-		t.Fatalf("v1 body string: %q %v", s, err)
-	}
-	if err := r.Done(); err != nil {
-		t.Fatal(err)
 	}
 }
 

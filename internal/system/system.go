@@ -287,9 +287,6 @@ type Machine struct {
 	// rec, when set, captures every injection into a dependency trace.
 	rec *traffic.Recorder
 
-	// dropGen counts drop-tally mutations for delta-checkpoint skipping.
-	dropGen uint64
-
 	// dropped tallies fault-dropped packets per application ID. Kept out
 	// of WindowCounters so the machine checkpoint section layout stays
 	// frozen; the fault section serializes it instead.
@@ -527,7 +524,6 @@ func (m *Machine) deliver(p *noc.Packet, now sim.Cycle) {
 // fabric degrades a replay instead of deadlocking it.
 func (m *Machine) Drop(p *noc.Packet, now sim.Cycle) {
 	if p.App >= 0 {
-		m.dropGen++
 		m.dropped[p.App]++
 	}
 	switch t := p.Payload.(type) {
@@ -547,9 +543,6 @@ func (m *Machine) Drop(p *noc.Packet, now sim.Cycle) {
 		}
 	}
 }
-
-// DropGen returns the drop-tally generation counter.
-func (m *Machine) DropGen() uint64 { return m.dropGen }
 
 // DroppedPackets returns the fault-dropped packet count of one application.
 func (m *Machine) DroppedPackets(appID int) int64 { return m.dropped[appID] }
