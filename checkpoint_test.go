@@ -9,14 +9,22 @@ package adaptnoc_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"adaptnoc"
+	"adaptnoc/internal/fault"
+	"adaptnoc/internal/noc"
 	"adaptnoc/internal/rl"
 	"adaptnoc/internal/sim"
+	"adaptnoc/internal/snap"
 )
 
 // chkConfig is the mixed workload at reduced epoch size, so a checkpoint
@@ -177,6 +185,200 @@ func TestRestoreRejectsTruncation(t *testing.T) {
 		if _, err := adaptnoc.RestoreSim(blob[:cut]); err == nil {
 			t.Fatalf("truncation at %d of %d bytes restored successfully", cut, len(blob))
 		}
+	}
+}
+
+// pinnedBodies is the wire format in 18 hashes: per configuration, the
+// SHA-256 of the uncompressed checkpoint body minus its config section at
+// cycle 2000 (a full Checkpoint) and at cycle 3000 (the base plus one
+// CheckpointDeltaChained frame, applied). Every layer's field order, every
+// count and every canonical sort feeds them, so a change here is a format
+// change whatever else still passes.
+var pinnedBodies = map[string][2]string{
+	"baseline": {
+		"ed8b20267b1584414dfaaa12c343c3bf0a2d284a2a504057ab69f1deb0fb81e6",
+		"0d7dc895b8937ddb2d46aa2026fd3bac4f75721cd13f0839c589bad48207b4bb",
+	},
+	"oscar": {
+		"bfad66619b969028d40fbd6925bfa04776cbcf0bd474f10d4164cf9e0e7a8606",
+		"ed204427102dbf7993a3526df379c62998f8110e9441c3b4f0a520ae79baa127",
+	},
+	"shortcut": {
+		"a8874777cfb1f2dd1bdf1536c6f1c381dd5096a86988111e105af0b4385da9fd",
+		"45d3775c80212f44a4b03cce3b52167cf2d50b32b670842471a88b1f6f82a253",
+	},
+	"ftby": {
+		"191308220e078134ecb6e0ae7d3da4ea4bf29d3a820f3129cbd641de4ff92bd2",
+		"4adc01ce6b4f9aa6242c14079fffd46f9613d2340c968dec8e055616c4433b38",
+	},
+	"ftby-pg": {
+		"0c7e03189150be215d6c92377211ee516ae5f3f8ea20bfa42c7de079368e985d",
+		"e36bee1f911c32cc543168dc8efbb6717f61c563c5572c5bc67145398a71cc24",
+	},
+	"adapt-norl": {
+		"3ae1fead3006073d31e052f74ebe888aeeb8f4f62aff3350f7b39b4bf15ab82a",
+		"bac698395bb7cb9d38b716ff09a589757f94aa7a812fb7bd1136e5db8320c5ea",
+	},
+	"adapt-noc": {
+		"414e9aa58448fed6fab19e0f2783f04f2dddc490ee3c62c09d3749b4d12aa1d2",
+		"da4f36416218195c8979e6fa1ba91ed68bf18ab58defceafcbceee8b17aa0cae",
+	},
+	"faulted": {
+		"e4d95765dcf7d909751d0459ef72eada3a42b8a299b4d982a2064f95cfc2b4f1",
+		"24bef0a2fdeddd8786ecc893fd8047dec21d552041c54e0013f8fe530a35a703",
+	},
+	"trace-replay": {
+		"2f5a97f3c7039163eb1ff36f3c77a7441e1d6d89b6cce90c105236b628631739",
+		"385f7664e4257732dd9dc9091237ec6c4fbf4027da9529a301e28889e7fd6132",
+	},
+}
+
+// stateHash hashes a sealed blob's body without its config section (the
+// config is JSON, and its encoding is not what this table pins).
+func stateHash(t *testing.T, blob []byte) string {
+	t.Helper()
+	body, err := snap.OpenBody(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	secs, err := snap.SplitSections(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(secs) == 0 || secs[0].Name != "config" {
+		t.Fatalf("body does not open with the config section")
+	}
+	sum := sha256.Sum256(snap.JoinSections(secs[1:]))
+	return hex.EncodeToString(sum[:])
+}
+
+func TestCheckpointBodyPinned(t *testing.T) {
+	type pinCase struct {
+		name string
+		sim  func() *adaptnoc.Sim
+	}
+	newSim := func(cfg adaptnoc.Config) func() *adaptnoc.Sim {
+		return func() *adaptnoc.Sim {
+			s, err := adaptnoc.NewSim(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+	}
+	var cases []pinCase
+	for d := adaptnoc.DesignBaseline; d < adaptnoc.NumDesigns; d++ {
+		cases = append(cases, pinCase{d.String(), newSim(chkConfig(d))})
+	}
+	// A link fault struck and draining at the first point, repaired by the
+	// second; a trace replay mid-stream at both.
+	faulted := chkConfig(adaptnoc.DesignAdaptNoC)
+	faulted.Faults = []fault.Event{{Cycle: 1500, Kind: fault.KindLink, Router: 25, Port: noc.PortEast, Repair: 1000}}
+	cases = append(cases,
+		pinCase{"faulted", newSim(faulted)},
+		pinCase{"trace-replay", func() *adaptnoc.Sim {
+			apps, w, h, err := adaptnoc.TraceWorkload(recordMixedTrace(t, 6000))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := chkConfig(adaptnoc.DesignBaseline)
+			cfg.Width, cfg.Height, cfg.Apps = w, h, apps
+			return newSim(cfg)()
+		}})
+
+	got := make(map[string][2]string, len(cases))
+	var table strings.Builder
+	for _, c := range cases {
+		s := c.sim()
+		s.Run(2000)
+		base, err := s.Checkpoint()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		s.Run(1000)
+		frame, err := s.CheckpointDeltaChained()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		tip, err := snap.ApplyChain(base, frame)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		got[c.name] = [2]string{stateHash(t, base), stateHash(t, tip)}
+		fmt.Fprintf(&table, "\t%q: {\n\t\t%q,\n\t\t%q,\n\t},\n", c.name, got[c.name][0], got[c.name][1])
+	}
+	for _, c := range cases {
+		if got[c.name] != pinnedBodies[c.name] {
+			t.Fatalf("%s: checkpoint body bytes moved — bump snap.Version if this was intended, then replace pinnedBodies with:\n%s",
+				c.name, table.String())
+		}
+	}
+}
+
+// TestRestoreSurvivesBodyMutations attacks the layer decoders themselves.
+// TestRestoreRejectsTruncation and FuzzRestoreSim's seeds mutate the sealed
+// blob, where gzip's CRC turns nearly every mutation away before a layer
+// sees it; here the decompressed body is mutated and re-sealed. Per design
+// and per non-config section: truncations must error, byte flips must
+// never panic, and a flip the decoders accept must leave a simulation that
+// checkpoints again. The accepted-flip count per design is logged — a
+// decoder rewrite that keeps every check keeps the counts and the set
+// digests.
+func TestRestoreSurvivesBodyMutations(t *testing.T) {
+	const pairs = 40
+	for _, d := range []adaptnoc.Design{adaptnoc.DesignBaseline, adaptnoc.DesignAdaptNoC, adaptnoc.DesignOSCAR} {
+		t.Run(d.String(), func(t *testing.T) {
+			s, err := adaptnoc.NewSim(chkConfig(d))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Run(2000)
+			blob, err := s.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := snap.OpenBody(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			secs, err := snap.SplitSections(body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// restore re-seals the section list with section i's body
+			// replaced.
+			restore := func(i int, mutated []byte) (*adaptnoc.Sim, error) {
+				m := append([]snap.DeltaSection(nil), secs...)
+				m[i].Body = mutated
+				return adaptnoc.RestoreSim(snap.Seal(snap.JoinSections(m)))
+			}
+			rng := rand.New(rand.NewSource(1234))
+			accepted, flips := 0, 0
+			which := sha256.New() // identifies the accepted set, not just its size
+			for i := 1; i < len(secs); i++ {
+				orig := secs[i].Body
+				for p := 0; p < pairs && len(orig) > 0; p++ {
+					cut := rng.Intn(len(orig))
+					if _, err := restore(i, orig[:cut]); err == nil {
+						t.Fatalf("section %s truncated at %d of %d bytes restored", secs[i].Name, cut, len(orig))
+					}
+					flipped := append([]byte(nil), orig...)
+					at := rng.Intn(len(flipped))
+					flipped[at] ^= 1 << uint(rng.Intn(8))
+					flips++
+					r, err := restore(i, flipped)
+					if err != nil {
+						continue
+					}
+					accepted++
+					fmt.Fprintf(which, "%s/%d;", secs[i].Name, p)
+					if _, err := r.Checkpoint(); err != nil {
+						t.Fatalf("section %s byte %d flipped: restored sim fails to re-checkpoint: %v", secs[i].Name, at, err)
+					}
+				}
+			}
+			t.Logf("%s: %d of %d byte flips accepted (set %x)", d, accepted, flips, which.Sum(nil)[:4])
+		})
 	}
 }
 
