@@ -8,17 +8,22 @@ build:
 test:
 	go test ./...
 
-# check is the full pre-merge gate: vet, formatting, the complete test
-# suite under the race detector, and every fuzz target replayed over its
-# committed seed corpus (no fuzzing engine — plain deterministic replay).
+# check is the full pre-merge gate, and all CI runs: vet, formatting, the
+# complete test suite under the race detector, every fuzz target replayed
+# over its committed seed corpus (no fuzzing engine — plain deterministic
+# replay), the smoke targets below, and the coverage floor. `go test -race
+# ./...` already contains the sharded-tick and fault-campaign determinism
+# suites (`-run 'TestSharded|TestFault' .`) — the byte-identity proofs for
+# the worker gang and the fault engine's quiescent apply points — and the
+# fleet's multi-node kill/handoff e2e, so nothing re-runs them on their own.
 check:
 	go vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 	go test -race -timeout 30m ./...
-	go test -run 'Fuzz' ./...
-	go run ./cmd/adaptnoc-serve -smoke
-	go run ./cmd/adaptnoc-fleet -smoke
+	$(MAKE) fuzzseeds
+	$(MAKE) serve-smoke
+	$(MAKE) fleet-smoke
 	$(MAKE) fault-smoke
 	$(MAKE) trace-smoke
 	$(MAKE) bench-smoke
@@ -52,7 +57,9 @@ race:
 	go test -race -run 'TestSharded|TestFault' .
 
 # bench runs the performance ledger, all eight workloads end to end
-# (benchmark/README.md); bench-smoke runs its tests (also part of check).
+# (benchmark/README.md); bench-smoke runs its tests (also part of check):
+# a reduced pass over the workloads, including the rolling base + delta
+# chain's byte-for-byte restore.
 bench:
 	bash benchmark/run.sh -seed 2021 -json .bench_build/ledger.json
 
@@ -83,15 +90,15 @@ fault-smoke:
 # trace-smoke proves the record→replay pipeline end-to-end through the
 # CLI (also part of check): capture a baseline run into a dependency
 # trace, replay it serially and with four tick shards, and require the
-# two replays' results JSON to be byte-identical.
+# two replays' results JSON to be byte-identical. Its files live in one
+# mktemp directory, so concurrent checkouts cannot collide.
 trace-smoke:
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; set -x; \
 	go run ./cmd/adaptnoc-sim -design baseline -cycles 8000 -epoch 4000 \
-		-record-trace /tmp/adaptnoc_trace_smoke.trc >/dev/null
-	go run ./cmd/adaptnoc-sim -trace /tmp/adaptnoc_trace_smoke.trc -json \
-		> /tmp/adaptnoc_trace_replay_serial.json
-	go run ./cmd/adaptnoc-sim -trace /tmp/adaptnoc_trace_smoke.trc -shards 4 -json \
-		> /tmp/adaptnoc_trace_replay_sharded.json
-	cmp /tmp/adaptnoc_trace_replay_serial.json /tmp/adaptnoc_trace_replay_sharded.json
+		-record-trace "$$dir/smoke.trc" >/dev/null; \
+	go run ./cmd/adaptnoc-sim -trace "$$dir/smoke.trc" -json > "$$dir/serial.json"; \
+	go run ./cmd/adaptnoc-sim -trace "$$dir/smoke.trc" -shards 4 -json > "$$dir/sharded.json"; \
+	cmp "$$dir/serial.json" "$$dir/sharded.json"
 	@echo "trace-smoke: shard-identical replay OK"
 
 quick:

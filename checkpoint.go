@@ -63,6 +63,33 @@ type deltaCache struct {
 	enc     *snap.DeltaEncoder
 }
 
+// sections is the checkpoint body after its config section, in blob order:
+// each layer's name, whether this simulation carries it, and the one
+// description (see snap.Codec) that both writes and restores it.
+var sections = []struct {
+	name    string
+	present func(*Sim) bool
+	state   func(*Sim, *snap.Codec)
+}{
+	{"fabric", func(s *Sim) bool { return s.Fabric != nil }, func(s *Sim, c *snap.Codec) { s.Fabric.SnapState(c) }},
+	// Pre-fault blobs carry no fault section, and a config without faults
+	// builds no engine — both directions stay consistent because the
+	// section's presence tracks Cfg.Faults exactly.
+	{"fault", func(s *Sim) bool { return s.faults != nil }, func(s *Sim, c *snap.Codec) {
+		s.faults.SnapState(c)
+		s.Machine.SnapDrops(c)
+	}},
+	{"machine", always, func(s *Sim, c *snap.Codec) { s.Machine.SnapState(c) }},
+	{"source", always, func(s *Sim, c *snap.Codec) { s.Machine.SnapSources(c) }},
+	{"net", always, func(s *Sim, c *snap.Codec) { s.Net.SnapState(c, s.Machine) }},
+	{"meter", always, func(s *Sim, c *snap.Codec) { s.Meter.SnapState(c) }},
+	{"control", func(s *Sim) bool { return s.Ctl != nil }, func(s *Sim, c *snap.Codec) { s.Ctl.SnapState(c) }},
+	{"oscar", func(s *Sim) bool { return s.Ctl == nil && s.OSCAR != nil }, func(s *Sim, c *snap.Codec) { s.OSCAR.SnapState(c) }},
+	{"kernel", always, func(s *Sim, c *snap.Codec) { s.Kernel.SnapState(c) }},
+}
+
+func always(*Sim) bool { return true }
+
 // checkpointSections walks the layers and returns the section list a full
 // checkpoint body consists of, in blob order. A chained walk (prev != nil)
 // writes over the buffers prev retired instead of allocating.
@@ -82,89 +109,27 @@ func (s *Sim) checkpointSections(prev *deltaCache) ([]snap.DeltaSection, error) 
 			return nil, fmt.Errorf("adaptnoc: encoding config: %w", err)
 		}
 	}
-	secs := []snap.DeltaSection{{Name: "config", Body: cfgJSON}}
-
-	add := func(name string, build func(w *snap.Writer) error) error {
-		var w snap.Writer
+	secs := make([]snap.DeltaSection, 1, 1+len(sections))
+	secs[0] = snap.DeltaSection{Name: "config", Body: cfgJSON}
+	// One Writer and one Codec serve the whole walk (sec.state is an
+	// indirect call, so they live on the heap); each section's bytes leave
+	// the Writer before the next one resets it.
+	var w snap.Writer
+	c := snap.Enc(&w)
+	for _, sec := range sections {
+		if !sec.present(s) {
+			continue
+		}
+		var retired snap.DeltaSection
 		if prev != nil {
-			if sc, ok := prev.scratch[name]; ok {
-				delete(prev.scratch, name)
-				w.ResetWith(sc.Body, sc.Parts)
-			}
+			retired = prev.scratch[sec.name]
+			delete(prev.scratch, sec.name)
 		}
-		if err := build(&w); err != nil {
-			return err
+		w.ResetWith(retired.Body, retired.Parts)
+		if sec.state(s, &c); c.Err() != nil {
+			return nil, fmt.Errorf("adaptnoc: snapshotting %s: %w", sec.name, c.Err())
 		}
-		secs = append(secs, snap.DeltaSection{Name: name, Body: w.Bytes(), Parts: w.Parts()})
-		return nil
-	}
-
-	if s.Fabric != nil {
-		if err := add("fabric", func(w *snap.Writer) error {
-			s.Fabric.Snapshot(w)
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-	}
-	if s.faults != nil {
-		if err := add("fault", func(w *snap.Writer) error {
-			s.faults.Snapshot(w)
-			s.Machine.SnapshotDrops(w)
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-	}
-	if err := add("machine", func(w *snap.Writer) error {
-		s.Machine.Snapshot(w)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	if err := add("source", func(w *snap.Writer) error {
-		s.Machine.SnapshotSources(w)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	if err := add("net", func(w *snap.Writer) error {
-		if err := s.Net.Snapshot(w, s.Machine); err != nil {
-			return fmt.Errorf("adaptnoc: snapshotting network: %w", err)
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	if err := add("meter", func(w *snap.Writer) error {
-		s.Meter.Snapshot(w)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	switch {
-	case s.Ctl != nil:
-		if err := add("control", func(w *snap.Writer) error {
-			s.Ctl.Snapshot(w)
-			return s.Ctl.SnapshotPolicies(w)
-		}); err != nil {
-			return nil, err
-		}
-	case s.OSCAR != nil:
-		if err := add("oscar", func(w *snap.Writer) error {
-			s.OSCAR.Snapshot(w)
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-	}
-	if err := add("kernel", func(w *snap.Writer) error {
-		if err := s.Kernel.Snapshot(w); err != nil {
-			return fmt.Errorf("adaptnoc: snapshotting kernel: %w", err)
-		}
-		return nil
-	}); err != nil {
-		return nil, err
+		secs = append(secs, snap.DeltaSection{Name: sec.name, Body: w.Bytes(), Parts: w.Parts()})
 	}
 	return secs, nil
 }
@@ -264,72 +229,27 @@ func RestoreSim(blob []byte) (*Sim, error) {
 		return nil, fmt.Errorf("adaptnoc: rebuilding simulation: %w", err)
 	}
 
-	restore := func(name string, fn func(*snap.Reader) error) error {
-		sr, err := r.Section(name)
+	// Every failure past this point names the section it happened in.
+	last := "config"
+	for _, sec := range sections {
+		if !sec.present(s) {
+			continue
+		}
+		sr, err := r.Section(sec.name)
+		if err == nil {
+			c := snap.Dec(sr)
+			sec.state(s, &c)
+			if err = c.Err(); err == nil {
+				err = sr.Done()
+			}
+		}
 		if err != nil {
-			return err
+			return nil, fmt.Errorf("adaptnoc: restoring %s: %w", sec.name, err)
 		}
-		if err := fn(sr); err != nil {
-			return fmt.Errorf("adaptnoc: restoring %s: %w", name, err)
-		}
-		if err := sr.Done(); err != nil {
-			return fmt.Errorf("adaptnoc: restoring %s: %w", name, err)
-		}
-		return nil
-	}
-
-	if s.Fabric != nil {
-		if err := restore("fabric", s.Fabric.Restore); err != nil {
-			return nil, err
-		}
-	}
-	// Pre-fault blobs carry no fault section, and a config without faults
-	// builds no engine — both directions stay consistent because the
-	// section's presence tracks Cfg.Faults exactly.
-	if s.faults != nil {
-		if err := restore("fault", func(sr *snap.Reader) error {
-			if err := s.faults.Restore(sr); err != nil {
-				return err
-			}
-			return s.Machine.RestoreDrops(sr)
-		}); err != nil {
-			return nil, err
-		}
-	}
-	if err := restore("machine", s.Machine.Restore); err != nil {
-		return nil, err
-	}
-	if err := restore("source", s.Machine.RestoreSources); err != nil {
-		return nil, err
-	}
-	if err := restore("net", func(sr *snap.Reader) error {
-		return s.Net.Restore(sr, s.Machine)
-	}); err != nil {
-		return nil, err
-	}
-	if err := restore("meter", s.Meter.Restore); err != nil {
-		return nil, err
-	}
-	switch {
-	case s.Ctl != nil:
-		if err := restore("control", func(sr *snap.Reader) error {
-			if err := s.Ctl.Restore(sr); err != nil {
-				return err
-			}
-			return s.Ctl.RestorePolicies(sr)
-		}); err != nil {
-			return nil, err
-		}
-	case s.OSCAR != nil:
-		if err := restore("oscar", s.OSCAR.Restore); err != nil {
-			return nil, err
-		}
-	}
-	if err := restore("kernel", s.Kernel.Restore); err != nil {
-		return nil, err
+		last = sec.name
 	}
 	if err := r.Done(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("adaptnoc: restoring: after %s: %w", last, err)
 	}
 	return s, nil
 }

@@ -323,7 +323,8 @@ func TestCheckpointBodyPinned(t *testing.T) {
 // never panic, and a flip the decoders accept must leave a simulation that
 // checkpoints again. The accepted-flip count per design is logged — a
 // decoder rewrite that keeps every check keeps the counts and the set
-// digests.
+// digests. A renamed section and a stray byte after the last one must be
+// reported with the section they happened in.
 func TestRestoreSurvivesBodyMutations(t *testing.T) {
 	const pairs = 40
 	for _, d := range []adaptnoc.Design{adaptnoc.DesignBaseline, adaptnoc.DesignAdaptNoC, adaptnoc.DesignOSCAR} {
@@ -378,6 +379,19 @@ func TestRestoreSurvivesBodyMutations(t *testing.T) {
 				}
 			}
 			t.Logf("%s: %d of %d byte flips accepted (set %x)", d, accepted, flips, which.Sum(nil)[:4])
+
+			// Framing damage between the layers is reported like damage
+			// inside one: with the restoring prefix and where it happened.
+			renamed := append([]snap.DeltaSection(nil), secs...)
+			renamed[1].Name = "x" + renamed[1].Name
+			_, err = adaptnoc.RestoreSim(snap.Seal(snap.JoinSections(renamed)))
+			if want := "adaptnoc: restoring " + secs[1].Name + ": "; err == nil || !strings.HasPrefix(err.Error(), want) {
+				t.Errorf("renamed section %s: error %v, want prefix %q", secs[1].Name, err, want)
+			}
+			_, err = adaptnoc.RestoreSim(snap.Seal(append(snap.JoinSections(secs), 0)))
+			if want := "adaptnoc: restoring: after kernel: "; err == nil || !strings.HasPrefix(err.Error(), want) {
+				t.Errorf("stray byte after the last section: error %v, want prefix %q", err, want)
+			}
 		})
 	}
 }

@@ -2,15 +2,14 @@ package core
 
 // Checkpoint support. The controller's dynamic state is the epoch counter
 // and each binding's learning context (previous state/action, selection
-// histogram, trace, reward and energy accumulators); the policy's own
-// state (DQN weights, Q table) is serialized through the Policy-specific
-// agents by the top-level checkpoint. Bindings are serialized in Bind
-// order, which is construction order and therefore stable.
+// histogram, trace, reward and energy accumulators), then the policy's own
+// state (DQN weights, Q table) through the Policy-specific agents. Bindings
+// are serialized in Bind order, which is construction order and therefore
+// stable.
 
 import (
-	"fmt"
+	"sort"
 
-	"adaptnoc/internal/power"
 	"adaptnoc/internal/snap"
 	"adaptnoc/internal/topology"
 )
@@ -25,167 +24,39 @@ const (
 	partCtlPolicy
 )
 
-// Snapshot writes the controller's dynamic state.
-func (c *Controller) Snapshot(w *snap.Writer) {
-	w.Mark(snap.PartKey(partCtlHeader, 0))
-	w.Int(c.epoch)
-	w.Bool(c.started)
-	w.Uvarint(uint64(len(c.bindings)))
-	for _, b := range c.bindings {
-		w.Mark(snap.PartKey(partCtlBinding, uint64(b.SubNoC.ID)))
-		w.Int(b.SubNoC.ID)
-		w.Bool(b.hasPrev)
-		if b.hasPrev {
-			w.F64s(b.prevState)
-			w.Int(int(b.prevAction))
-		}
-		for _, n := range b.Selections {
-			w.I64(n)
-		}
-		w.F64(b.RewardSum)
-		w.I64(b.EpochCount)
-		power.SnapshotBreakdown(w, b.Energy)
-		w.Uvarint(uint64(len(b.Trace)))
-		for _, t := range b.Trace {
-			// The trace is append-only, so keying records by epoch turns
-			// the whole history into copies in every delta.
-			w.Mark(snap.PartKey(partCtlTrace, uint64(b.SubNoC.ID)<<24|uint64(uint32(t.Epoch))&(1<<24-1)))
-			w.Int(t.Epoch)
-			w.Int(int(t.Kind))
-			w.Int(int(t.Chosen))
-			w.F64(t.AvgNetLat)
-			w.F64(t.AvgQueueLat)
-			w.F64(t.AvgHops)
-			w.F64(t.PowerMW)
-			w.F64(t.Reward)
-			w.I64(t.Delivered)
-			w.I64(t.RetiredInstr)
-			w.F64s(t.State)
-		}
+// SnapState is the controller's dynamic state followed by the agent
+// state behind every binding's policy. Decoding overlays it onto a
+// controller with the same bindings (same subNoCs bound in the same
+// order) and policies of the same kinds.
+func (ctl *Controller) SnapState(c *snap.Codec) {
+	c.Mark(snap.PartKey(partCtlHeader, 0))
+	c.Int(&ctl.epoch)
+	c.Bool(&ctl.started)
+	c.Len(len(ctl.bindings), "core: bindings")
+	for _, b := range ctl.bindings {
+		b.snapState(c)
 	}
-}
 
-// Restore overlays a state written by Snapshot onto a controller with the
-// same bindings (same subNoCs bound in the same order).
-func (c *Controller) Restore(r *snap.Reader) error {
-	var err error
-	if c.epoch, err = r.Int(); err != nil {
-		return err
-	}
-	if c.started, err = r.Bool(); err != nil {
-		return err
-	}
-	n, err := r.Count(4)
-	if err != nil {
-		return err
-	}
-	if n != len(c.bindings) {
-		return fmt.Errorf("core: checkpoint has %d bindings, controller has %d", n, len(c.bindings))
-	}
-	for _, b := range c.bindings {
-		id, err := r.Int()
-		if err != nil {
-			return err
-		}
-		if id != b.SubNoC.ID {
-			return fmt.Errorf("core: checkpoint binding for subNoC %d, controller has %d", id, b.SubNoC.ID)
-		}
-		if b.hasPrev, err = r.Bool(); err != nil {
-			return err
-		}
-		if b.hasPrev {
-			if b.prevState, err = r.F64s(); err != nil {
-				return err
-			}
-			act, err := r.Int()
-			if err != nil {
-				return err
-			}
-			if act < 0 || act >= int(topology.NumSelectable) {
-				return fmt.Errorf("core: binding %d previous action %d", id, act)
-			}
-			b.prevAction = topology.Kind(act)
-		} else {
-			b.prevState, b.prevAction = nil, 0
-		}
-		for i := range b.Selections {
-			if b.Selections[i], err = r.I64(); err != nil {
-				return err
-			}
-		}
-		if b.RewardSum, err = r.F64(); err != nil {
-			return err
-		}
-		if b.EpochCount, err = r.I64(); err != nil {
-			return err
-		}
-		if b.Energy, err = power.RestoreBreakdown(r); err != nil {
-			return err
-		}
-		nTrace, err := r.Count(10)
-		if err != nil {
-			return err
-		}
-		b.Trace = b.Trace[:0]
-		for i := 0; i < nTrace; i++ {
-			var t EpochRecord
-			if t.Epoch, err = r.Int(); err != nil {
-				return err
-			}
-			kind, err := r.Int()
-			if err != nil {
-				return err
-			}
-			t.Kind = topology.Kind(kind)
-			chosen, err := r.Int()
-			if err != nil {
-				return err
-			}
-			t.Chosen = topology.Kind(chosen)
-			for _, dst := range []*float64{
-				&t.AvgNetLat, &t.AvgQueueLat, &t.AvgHops, &t.PowerMW, &t.Reward,
-			} {
-				if *dst, err = r.F64(); err != nil {
-					return err
-				}
-			}
-			if t.Delivered, err = r.I64(); err != nil {
-				return err
-			}
-			if t.RetiredInstr, err = r.I64(); err != nil {
-				return err
-			}
-			if t.State, err = r.F64s(); err != nil {
-				return err
-			}
-			b.Trace = append(b.Trace, t)
-		}
-	}
-	return nil
-}
-
-// SnapshotPolicies writes the agent state behind every binding's policy.
-// Policies are serialized in binding order with a per-policy kind tag so a
-// mismatched restore fails loudly rather than misreading bytes.
-func (c *Controller) SnapshotPolicies(w *snap.Writer) error {
-	w.Uvarint(uint64(len(c.bindings)))
-	for _, b := range c.bindings {
-		w.Mark(snap.PartKey(partCtlPolicy, uint64(b.SubNoC.ID)))
+	// Policies carry a per-policy kind tag so a mismatched restore fails
+	// loudly rather than misreading bytes.
+	c.Len(len(ctl.bindings), "core: policies")
+	for _, b := range ctl.bindings {
+		id := b.SubNoC.ID
+		c.Mark(snap.PartKey(partCtlPolicy, uint64(id)))
 		switch p := b.Policy.(type) {
 		case StaticPolicy:
-			w.Int(policyStatic)
+			policyTag(c, policyStatic, id)
 		case *DQNPolicy:
-			w.Int(policyDQN)
-			p.Agent.Snapshot(w)
-			w.I64(p.lastInferences)
+			policyTag(c, policyDQN, id)
+			p.Agent.SnapState(c)
+			c.I64(&p.lastInferences)
 		case *QTablePolicy:
-			w.Int(policyQTable)
-			p.Agent.Snapshot(w)
+			policyTag(c, policyQTable, id)
+			p.Agent.SnapState(c)
 		default:
-			return fmt.Errorf("core: unserializable policy %T for subNoC %d", b.Policy, b.SubNoC.ID)
+			c.Failf("core: unserializable policy %T for subNoC %d", b.Policy, id)
 		}
 	}
-	return nil
 }
 
 // Policy kind tags in the checkpoint stream.
@@ -195,150 +66,98 @@ const (
 	policyQTable
 )
 
-// RestorePolicies reads agent state written by SnapshotPolicies into the
-// controller's existing policies, which must be of the same kinds.
-func (c *Controller) RestorePolicies(r *snap.Reader) error {
-	n, err := r.Count(1)
-	if err != nil {
-		return err
-	}
-	if n != len(c.bindings) {
-		return fmt.Errorf("core: checkpoint has %d policies, controller has %d", n, len(c.bindings))
-	}
-	for _, b := range c.bindings {
-		kind, err := r.Int()
-		if err != nil {
-			return err
-		}
-		switch p := b.Policy.(type) {
-		case StaticPolicy:
-			if kind != policyStatic {
-				return fmt.Errorf("core: checkpoint policy kind %d for static binding %d", kind, b.SubNoC.ID)
-			}
-		case *DQNPolicy:
-			if kind != policyDQN {
-				return fmt.Errorf("core: checkpoint policy kind %d for DQN binding %d", kind, b.SubNoC.ID)
-			}
-			if err := p.Agent.Restore(r); err != nil {
-				return err
-			}
-			if p.lastInferences, err = r.I64(); err != nil {
-				return err
-			}
-		case *QTablePolicy:
-			if kind != policyQTable {
-				return fmt.Errorf("core: checkpoint policy kind %d for Q-table binding %d", kind, b.SubNoC.ID)
-			}
-			if err := p.Agent.Restore(r); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("core: unserializable policy %T for subNoC %d", b.Policy, b.SubNoC.ID)
-		}
-	}
-	return nil
-}
-
-// Snapshot writes the OSCAR controller's dynamic state.
-func (o *OSCARController) Snapshot(w *snap.Writer) {
-	w.Bool(o.started)
-	w.I64(o.Reallocations)
-	snapshotIntSliceMap(w, o.assignment)
-	keys := sortedKeys(o.demand)
-	w.Uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		w.Int(k)
-		w.I64(o.demand[k])
+func policyTag(c *snap.Codec, want, subNoC int) {
+	kind := want
+	if c.Int(&kind); kind != want {
+		c.Failf("core: checkpoint policy kind %d for subNoC %d, controller has kind %d", kind, subNoC, want)
 	}
 }
 
-// Restore overlays a state written by Snapshot. The assignment map is
-// updated in place because the routers' VC-policy closures read it live.
-func (o *OSCARController) Restore(r *snap.Reader) error {
-	var err error
-	if o.started, err = r.Bool(); err != nil {
-		return err
+// snapState is one binding's learning context.
+func (b *Binding) snapState(c *snap.Codec) {
+	id := b.SubNoC.ID
+	c.Mark(snap.PartKey(partCtlBinding, uint64(id)))
+	if c.Int(&id); id != b.SubNoC.ID {
+		c.Failf("core: checkpoint binding for subNoC %d, controller has %d", id, b.SubNoC.ID)
 	}
-	if o.Reallocations, err = r.I64(); err != nil {
-		return err
+	c.Bool(&b.hasPrev)
+	if b.hasPrev {
+		c.F64s(&b.prevState)
+		c.Int((*int)(&b.prevAction))
+		if b.prevAction < 0 || b.prevAction >= topology.NumSelectable {
+			c.Failf("core: binding %d previous action %d", id, b.prevAction)
+		}
+	} else if c.Decoding() {
+		b.prevState, b.prevAction = nil, 0
 	}
-	assign, err := restoreIntSliceMap(r)
-	if err != nil {
-		return err
+	for i := range b.Selections {
+		c.I64(&b.Selections[i])
 	}
-	n, err := r.Count(2)
-	if err != nil {
-		return err
+	c.F64(&b.RewardSum)
+	c.I64(&b.EpochCount)
+	b.Energy.SnapState(c)
+	n := c.Count(len(b.Trace), 10)
+	if c.Decoding() {
+		b.Trace = b.Trace[:0]
 	}
-	demand := make(map[int]int64, n)
 	for i := 0; i < n; i++ {
-		k, err := r.Int()
-		if err != nil {
-			return err
+		if c.Decoding() {
+			b.Trace = append(b.Trace, EpochRecord{})
 		}
-		v, err := r.I64()
-		if err != nil {
-			return err
-		}
-		demand[k] = v
-	}
-	for k := range o.assignment {
-		delete(o.assignment, k)
-	}
-	for k, v := range assign {
-		o.assignment[k] = v
-	}
-	o.demand = demand
-	return nil
-}
-
-func sortedKeys[V any](m map[int]V) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	return keys
-}
-
-func snapshotIntSliceMap(w *snap.Writer, m map[int][]int) {
-	keys := sortedKeys(m)
-	w.Uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		w.Int(k)
-		w.Uvarint(uint64(len(m[k])))
-		for _, v := range m[k] {
-			w.Int(v)
-		}
+		t := &b.Trace[i]
+		// The trace is append-only, so keying records by epoch turns
+		// the whole history into copies in every delta.
+		c.Mark(snap.PartKey(partCtlTrace, uint64(b.SubNoC.ID)<<24|uint64(uint32(t.Epoch))&(1<<24-1)))
+		c.Int(&t.Epoch)
+		c.Int((*int)(&t.Kind))
+		c.Int((*int)(&t.Chosen))
+		c.F64(&t.AvgNetLat)
+		c.F64(&t.AvgQueueLat)
+		c.F64(&t.AvgHops)
+		c.F64(&t.PowerMW)
+		c.F64(&t.Reward)
+		c.I64(&t.Delivered)
+		c.I64(&t.RetiredInstr)
+		c.F64s(&t.State)
 	}
 }
 
-func restoreIntSliceMap(r *snap.Reader) (map[int][]int, error) {
-	n, err := r.Count(2)
-	if err != nil {
-		return nil, err
+// SnapState is the OSCAR controller's dynamic state. The assignment map is
+// refilled in place because the routers' VC-policy closures read it live.
+func (o *OSCARController) SnapState(c *snap.Codec) {
+	c.Bool(&o.started)
+	c.I64(&o.Reallocations)
+
+	var keys []int
+	if !c.Decoding() {
+		keys = make([]int, 0, len(o.assignment))
+		for k := range o.assignment {
+			keys = append(keys, k)
+		}
+		sort.Ints(keys)
 	}
-	m := make(map[int][]int, n)
+	n := c.Count(len(keys), 2)
+	if c.Decoding() {
+		clear(o.assignment)
+	}
 	for i := 0; i < n; i++ {
-		k, err := r.Int()
-		if err != nil {
-			return nil, err
+		var k int
+		var vcs []int
+		if !c.Decoding() {
+			k, vcs = keys[i], o.assignment[keys[i]]
 		}
-		nv, err := r.Count(1)
-		if err != nil {
-			return nil, err
+		c.Int(&k)
+		nv := c.Count(len(vcs), 1)
+		if c.Decoding() {
+			vcs = make([]int, nv)
 		}
-		vs := make([]int, nv)
-		for j := range vs {
-			if vs[j], err = r.Int(); err != nil {
-				return nil, err
-			}
+		for j := range vcs {
+			c.Int(&vcs[j])
 		}
-		m[k] = vs
+		if c.Decoding() {
+			o.assignment[k] = vcs
+		}
 	}
-	return m, nil
+
+	snap.IntMap(c, &o.demand)
 }

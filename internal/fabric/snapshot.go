@@ -10,80 +10,39 @@ package fabric
 // list as descriptor events and need nothing here.
 
 import (
-	"fmt"
-
 	"adaptnoc/internal/snap"
 	"adaptnoc/internal/topology"
 )
 
-// Snapshot writes the fabric's dynamic state.
-func (f *Fabric) Snapshot(w *snap.Writer) {
-	w.Int(f.nextID)
-	w.Uvarint(uint64(len(f.subnocs)))
+// SnapState is the fabric's dynamic state. Decoding overlays it onto a
+// freshly constructed fabric carrying the same subNoC allocation: regions
+// whose checkpointed topology differs from the freshly built one are
+// physically switched (shares re-established), which rebuilds channels and
+// routing tables deterministically; the caller then overlays the network's
+// dynamic state on top.
+func (f *Fabric) SnapState(c *snap.Codec) {
+	c.Int(&f.nextID)
+	c.Len(len(f.subnocs), "fabric: subNoCs")
 	for _, sn := range f.subnocs {
-		w.Int(sn.ID)
-		w.Int(int(sn.Kind))
-		w.Int(int(sn.state))
-		w.I64(sn.Reconfigs)
-		w.I64(sn.ReconfigCycles)
+		id, kind := sn.ID, sn.Kind
+		c.Int(&id)
+		c.Int((*int)(&kind))
+		c.Int((*int)(&sn.state))
+		c.I64(&sn.Reconfigs)
+		c.I64(&sn.ReconfigCycles)
+		if !c.Decoding() {
+			continue
+		}
+		switch {
+		case id != sn.ID:
+			c.Failf("fabric: checkpoint subNoC ID %d, fabric has %d", id, sn.ID)
+		case kind < 0 || (kind >= topology.NumKinds && kind != topology.TorusTree):
+			c.Failf("fabric: subNoC %d has topology kind %d", id, kind)
+		case sn.state < StateActive || sn.state > StateSettingUp:
+			c.Failf("fabric: subNoC %d has state %d", id, sn.state)
+		}
+		if c.Err() == nil && kind != sn.Kind {
+			f.switchTopology(sn, kind)
+		}
 	}
-}
-
-// Restore overlays a state written by Snapshot onto a freshly constructed
-// fabric carrying the same subNoC allocation. Regions whose checkpointed
-// topology differs from the freshly built one are physically switched
-// (shares re-established), which rebuilds channels and routing tables
-// deterministically; the caller then overlays the network's dynamic state
-// on top.
-func (f *Fabric) Restore(r *snap.Reader) error {
-	nextID, err := r.Int()
-	if err != nil {
-		return err
-	}
-	n, err := r.Count(5)
-	if err != nil {
-		return err
-	}
-	if n != len(f.subnocs) {
-		return fmt.Errorf("fabric: checkpoint has %d subNoCs, fabric has %d", n, len(f.subnocs))
-	}
-	f.nextID = nextID
-	for _, sn := range f.subnocs {
-		id, err := r.Int()
-		if err != nil {
-			return err
-		}
-		if id != sn.ID {
-			return fmt.Errorf("fabric: checkpoint subNoC ID %d, fabric has %d", id, sn.ID)
-		}
-		kind, err := r.Int()
-		if err != nil {
-			return err
-		}
-		if kind < 0 || (topology.Kind(kind) >= topology.NumKinds && topology.Kind(kind) != topology.TorusTree) {
-			return fmt.Errorf("fabric: subNoC %d has topology kind %d", id, kind)
-		}
-		state, err := r.Int()
-		if err != nil {
-			return err
-		}
-		if state < int(StateActive) || state > int(StateSettingUp) {
-			return fmt.Errorf("fabric: subNoC %d has state %d", id, state)
-		}
-		reconfigs, err := r.I64()
-		if err != nil {
-			return err
-		}
-		cycles, err := r.I64()
-		if err != nil {
-			return err
-		}
-		if topology.Kind(kind) != sn.Kind {
-			f.switchTopology(sn, topology.Kind(kind))
-		}
-		sn.state = SubNoCState(state)
-		sn.Reconfigs = reconfigs
-		sn.ReconfigCycles = cycles
-	}
-	return nil
 }

@@ -1,11 +1,6 @@
 package fault
 
-import (
-	"fmt"
-
-	"adaptnoc/internal/sim"
-	"adaptnoc/internal/snap"
-)
+import "adaptnoc/internal/snap"
 
 // Checkpoint support. The engine's serialized state is tiny — the drain
 // state machine, the pending and active event sets, and the drop counters —
@@ -16,134 +11,57 @@ import (
 // afterwards then overlays dynamic state (and validates the channel set,
 // which only matches if this replay produced identical wiring).
 
-// Snapshot writes the engine's dynamic state.
-func (e *Engine) Snapshot(w *snap.Writer) {
-	w.Int(1) // version
-	w.Bool(e.fab != nil && e.fab.Frozen())
-	w.Bool(e.draining)
-	w.I64(int64(e.drainStart))
-	w.Bool(e.gatedAll)
-	w.Uvarint(uint64(len(e.savedGates)))
-	for _, g := range e.savedGates {
-		w.Bool(g)
+// SnapState is the engine's dynamic state. Decoding overlays it onto a
+// freshly constructed engine carrying the same schedule and then
+// re-applies the active damage against the fabric-replayed base wiring; it
+// must run after the fabric section and before the network section.
+func (e *Engine) SnapState(c *snap.Codec) {
+	version := 1
+	if c.Int(&version); version != 1 {
+		c.Failf("fault: unknown fault section version %d", version)
 	}
-	w.Uvarint(uint64(len(e.pending)))
-	for _, pa := range e.pending {
-		w.Int(pa.idx)
-		w.Bool(pa.repair)
+	frozen := e.fab != nil && e.fab.Frozen()
+	c.Bool(&frozen)
+	c.Bool(&e.draining)
+	c.I64((*int64)(&e.drainStart))
+	c.Bool(&e.gatedAll)
+	c.Len(len(e.savedGates), "fault: NI gates")
+	for i := range e.savedGates {
+		c.Bool(&e.savedGates[i])
 	}
-	w.Uvarint(uint64(len(e.active)))
-	for _, a := range e.active {
-		w.Bool(a)
+	n := c.Count(len(e.pending), 2)
+	if c.Decoding() {
+		e.pending = make([]pendingAction, n)
 	}
-	w.Bool(e.baseTaken)
-	w.I64(e.Strikes)
-	w.I64(e.Repairs)
-	w.I64(e.net.TotalDropped)
-	w.I64(e.net.TotalFlitsDropped)
-}
-
-// Restore overlays a Snapshot onto a freshly constructed engine carrying
-// the same schedule, re-applying the active damage against the
-// fabric-replayed base wiring. Must run after the fabric section and
-// before the network section.
-func (e *Engine) Restore(r *snap.Reader) error {
-	ver, err := r.Int()
-	if err != nil {
-		return err
-	}
-	if ver != 1 {
-		return fmt.Errorf("fault: unknown fault section version %d", ver)
-	}
-	frozen, err := r.Bool()
-	if err != nil {
-		return err
-	}
-	draining, err := r.Bool()
-	if err != nil {
-		return err
-	}
-	drainStart, err := r.I64()
-	if err != nil {
-		return err
-	}
-	gatedAll, err := r.Bool()
-	if err != nil {
-		return err
-	}
-	ngates, err := r.Count(1)
-	if err != nil {
-		return err
-	}
-	if ngates != len(e.savedGates) {
-		return fmt.Errorf("fault: checkpoint has %d NI gates, network has %d", ngates, len(e.savedGates))
-	}
-	for i := 0; i < ngates; i++ {
-		if e.savedGates[i], err = r.Bool(); err != nil {
-			return err
+	for i := range e.pending {
+		pa := &e.pending[i]
+		c.Int(&pa.idx)
+		if c.Decoding() && (pa.idx < 0 || pa.idx >= len(e.sched)) {
+			c.Failf("fault: pending action references event %d of %d", pa.idx, len(e.sched))
 		}
+		c.Bool(&pa.repair)
 	}
-	npend, err := r.Count(2)
-	if err != nil {
-		return err
+	if c.Decoding() {
+		e.active = make([]bool, len(e.sched))
 	}
-	pending := make([]pendingAction, npend)
-	for i := range pending {
-		if pending[i].idx, err = r.Int(); err != nil {
-			return err
-		}
-		if pending[i].idx < 0 || pending[i].idx >= len(e.sched) {
-			return fmt.Errorf("fault: pending action references event %d of %d", pending[i].idx, len(e.sched))
-		}
-		if pending[i].repair, err = r.Bool(); err != nil {
-			return err
-		}
+	c.Len(len(e.active), "fault: schedule events")
+	for i := range e.active {
+		c.Bool(&e.active[i])
 	}
-	nactive, err := r.Count(1)
-	if err != nil {
-		return err
-	}
-	if nactive != len(e.sched) {
-		return fmt.Errorf("fault: checkpoint has %d fault events, schedule has %d", nactive, len(e.sched))
-	}
-	active := make([]bool, nactive)
-	for i := range active {
-		if active[i], err = r.Bool(); err != nil {
-			return err
-		}
-	}
-	baseTaken, err := r.Bool()
-	if err != nil {
-		return err
-	}
-	strikes, err := r.I64()
-	if err != nil {
-		return err
-	}
-	repairs, err := r.I64()
-	if err != nil {
-		return err
-	}
-	dropped, err := r.I64()
-	if err != nil {
-		return err
-	}
-	flitsDropped, err := r.I64()
-	if err != nil {
-		return err
+	c.Bool(&e.baseTaken)
+	c.I64(&e.Strikes)
+	c.I64(&e.Repairs)
+	dropped, flitsDropped := e.net.TotalDropped, e.net.TotalFlitsDropped
+	c.I64(&dropped)
+	c.I64(&flitsDropped)
+	if !c.Decoding() || c.Err() != nil {
+		return
 	}
 
 	if frozen && e.fab != nil {
 		e.fab.Freeze()
 	}
-	e.draining = draining
-	e.drainStart = sim.Cycle(drainStart)
-	e.gatedAll = gatedAll
-	e.pending = pending
-	e.active = active
-	e.Strikes = strikes
-	e.Repairs = repairs
-	if baseTaken {
+	if e.baseTaken {
 		e.captureBase()
 		any := false
 		for i := range e.active {
@@ -159,5 +77,4 @@ func (e *Engine) Restore(r *snap.Reader) error {
 	}
 	e.net.TotalDropped = dropped
 	e.net.TotalFlitsDropped = flitsDropped
-	return nil
 }

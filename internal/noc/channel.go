@@ -135,7 +135,7 @@ type Channel struct {
 	// already accounted.
 	harvested int64
 
-	// Snapshot splice cache (see Network.Snapshot): the bytes this channel
+	// Snapshot splice cache (see snapComponent): the bytes this channel
 	// serialized to last time, valid while snapClean holds. snapClean is
 	// only ever set for a non-queued channel — a queued channel is ticked
 	// and mutated — and is cleared at every transition that can change a

@@ -177,7 +177,7 @@ type Router struct {
 	// Activity counters (window-accumulated; see TakeActivity).
 	act RouterActivity
 
-	// Snapshot splice cache (see Network.Snapshot): the bytes this router
+	// Snapshot splice cache (see snapComponent): the bytes this router
 	// serialized to last time, valid while snapClean holds. snapClean is
 	// only ever set for a parked router — an active router is re-ticked
 	// every cycle — and is cleared by every mutation that can reach a

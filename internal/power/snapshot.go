@@ -5,85 +5,24 @@ package power
 // parameters come from the run configuration. Router/NI/channel activity
 // windows belong to the network's snapshot.
 
-import (
-	"sort"
+import "adaptnoc/internal/snap"
 
-	"adaptnoc/internal/noc"
-	"adaptnoc/internal/sim"
-	"adaptnoc/internal/snap"
-)
-
-func snapshotBreakdown(w *snap.Writer, b Breakdown) {
-	w.F64(b.BufferPJ)
-	w.F64(b.CrossbarPJ)
-	w.F64(b.ArbitrationPJ)
-	w.F64(b.LinkPJ)
-	w.F64(b.MuxPJ)
-	w.F64(b.RLPJ)
-	w.F64(b.RouterStaticPJ)
-	w.F64(b.LinkStaticPJ)
+// SnapState is one energy account (also for callers that accumulate their
+// own Breakdown, like the controller's per-binding energy).
+func (b *Breakdown) SnapState(c *snap.Codec) {
+	c.F64(&b.BufferPJ)
+	c.F64(&b.CrossbarPJ)
+	c.F64(&b.ArbitrationPJ)
+	c.F64(&b.LinkPJ)
+	c.F64(&b.MuxPJ)
+	c.F64(&b.RLPJ)
+	c.F64(&b.RouterStaticPJ)
+	c.F64(&b.LinkStaticPJ)
 }
 
-func restoreBreakdown(r *snap.Reader) (Breakdown, error) {
-	var b Breakdown
-	for _, dst := range []*float64{
-		&b.BufferPJ, &b.CrossbarPJ, &b.ArbitrationPJ, &b.LinkPJ,
-		&b.MuxPJ, &b.RLPJ, &b.RouterStaticPJ, &b.LinkStaticPJ,
-	} {
-		v, err := r.F64()
-		if err != nil {
-			return b, err
-		}
-		*dst = v
-	}
-	return b, nil
-}
-
-// SnapshotBreakdown writes one energy account (for callers that accumulate
-// their own Breakdown, like the controller's per-binding energy).
-func SnapshotBreakdown(w *snap.Writer, b Breakdown) { snapshotBreakdown(w, b) }
-
-// RestoreBreakdown reads an account written by SnapshotBreakdown.
-func RestoreBreakdown(r *snap.Reader) (Breakdown, error) { return restoreBreakdown(r) }
-
-// Snapshot writes the meter's dynamic state.
-func (m *Meter) Snapshot(w *snap.Writer) {
-	snapshotBreakdown(w, m.total)
-	keys := make([]int, 0, len(m.lastCollect))
-	for k := range m.lastCollect {
-		keys = append(keys, int(k))
-	}
-	sort.Ints(keys)
-	w.Uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		w.Int(k)
-		w.I64(int64(m.lastCollect[noc.NodeID(k)]))
-	}
-}
-
-// Restore reads a state written by Snapshot.
-func (m *Meter) Restore(r *snap.Reader) error {
-	total, err := restoreBreakdown(r)
-	if err != nil {
-		return err
-	}
-	n, err := r.Count(2)
-	if err != nil {
-		return err
-	}
-	last := make(map[noc.NodeID]sim.Cycle, n)
-	for i := 0; i < n; i++ {
-		k, err := r.Int()
-		if err != nil {
-			return err
-		}
-		at, err := r.I64()
-		if err != nil {
-			return err
-		}
-		last[noc.NodeID(k)] = sim.Cycle(at)
-	}
-	m.total = total
-	m.lastCollect = last
-	return nil
+// SnapState is the meter's dynamic state; collection timestamps are
+// written sorted by region key.
+func (m *Meter) SnapState(c *snap.Codec) {
+	m.total.SnapState(c)
+	snap.IntMap(c, &m.lastCollect)
 }

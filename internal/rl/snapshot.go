@@ -6,7 +6,6 @@ package rl
 // from the run configuration and are validated, not restored.
 
 import (
-	"fmt"
 	"sort"
 
 	"adaptnoc/internal/snap"
@@ -26,257 +25,135 @@ const (
 	partRLQRow
 )
 
-// Snapshot writes the network's weights.
-func (n *Net) Snapshot(w *snap.Writer) {
-	w.Uvarint(uint64(len(n.Sizes)))
-	for _, s := range n.Sizes {
-		w.Int(s)
+// snapState is the network's shape and weights. The shape is a
+// configuration echo: decoding requires it to match the receiver's.
+func (n *Net) snapState(c *snap.Codec) {
+	c.Len(len(n.Sizes), "rl: network layer sizes")
+	for i, want := range n.Sizes {
+		s := want
+		if c.Int(&s); c.Decoding() && s != want {
+			c.Failf("rl: checkpoint layer %d has %d units, agent has %d", i, s, want)
+		}
 	}
 	for l := range n.W {
-		w.Mark(snap.PartKey(partRLNetLayer, uint64(l)))
-		w.F64s(n.W[l])
-		w.F64s(n.B[l])
-	}
-}
-
-// RestoreNet reads a network written by Snapshot.
-func RestoreNet(r *snap.Reader) (*Net, error) {
-	nSizes, err := r.Count(1)
-	if err != nil {
-		return nil, err
-	}
-	if nSizes < 2 {
-		return nil, fmt.Errorf("rl: network with %d layers", nSizes)
-	}
-	n := &Net{Sizes: make([]int, nSizes)}
-	for i := range n.Sizes {
-		s, err := r.Int()
-		if err != nil {
-			return nil, err
+		c.Mark(snap.PartKey(partRLNetLayer, uint64(l)))
+		c.F64s(&n.W[l])
+		c.F64s(&n.B[l])
+		if !c.Decoding() {
+			continue
 		}
-		if s < 1 || s > 1<<16 {
-			return nil, fmt.Errorf("rl: layer size %d", s)
-		}
-		n.Sizes[i] = s
-	}
-	n.W = make([][]float64, nSizes-1)
-	n.B = make([][]float64, nSizes-1)
-	for l := 0; l < nSizes-1; l++ {
-		if n.W[l], err = r.F64s(); err != nil {
-			return nil, err
-		}
-		if len(n.W[l]) != n.Sizes[l]*n.Sizes[l+1] {
-			return nil, fmt.Errorf("rl: layer %d has %d weights, want %d",
-				l, len(n.W[l]), n.Sizes[l]*n.Sizes[l+1])
-		}
-		if n.B[l], err = r.F64s(); err != nil {
-			return nil, err
+		if want := n.Sizes[l] * n.Sizes[l+1]; len(n.W[l]) != want {
+			c.Failf("rl: layer %d has %d weights, want %d", l, len(n.W[l]), want)
 		}
 		if len(n.B[l]) != n.Sizes[l+1] {
-			return nil, fmt.Errorf("rl: layer %d has %d biases, want %d",
-				l, len(n.B[l]), n.Sizes[l+1])
+			c.Failf("rl: layer %d has %d biases, want %d", l, len(n.B[l]), n.Sizes[l+1])
 		}
 	}
-	return n, nil
 }
 
-func snapshotVec(w *snap.Writer, v []float64) {
-	w.Bool(v != nil)
-	if v != nil {
-		w.F64s(v)
+// vecState is an optional []float64 (nil is distinct from empty).
+func vecState(c *snap.Codec, v *[]float64) {
+	ok := *v != nil
+	if c.Bool(&ok); ok {
+		c.F64s(v)
 	}
 }
 
-func restoreVec(r *snap.Reader) ([]float64, error) {
-	ok, err := r.Bool()
-	if err != nil || !ok {
-		return nil, err
-	}
-	return r.F64s()
-}
-
-// Snapshot writes the buffer's contents and ring position.
-func (rb *ReplayBuffer) Snapshot(w *snap.Writer) {
-	w.Mark(snap.PartKey(partRLReplayHeader, 0))
-	w.Uvarint(uint64(len(rb.buf)))
-	w.Int(rb.next)
-	w.Bool(rb.full)
-	n := rb.Len()
-	w.Uvarint(uint64(n))
-	for i := 0; i < n; i++ {
-		w.Mark(snap.PartKey(partRLReplayEntry, uint64(i)))
-		e := rb.buf[i]
-		snapshotVec(w, e.State)
-		w.Int(e.Action)
-		w.F64(e.Reward)
-		snapshotVec(w, e.Next)
-	}
-}
-
-// Restore reads a buffer state written by Snapshot; the capacity must match.
-func (rb *ReplayBuffer) Restore(r *snap.Reader) error {
+// snapState is the buffer's contents and ring position; the capacity must
+// match the receiver's.
+func (rb *ReplayBuffer) snapState(c *snap.Codec) {
+	c.Mark(snap.PartKey(partRLReplayHeader, 0))
 	// The capacity is a configuration echo, not a count of following
-	// elements (the buffer may be mostly empty), so it is not
-	// bounds-checked against the remaining input — the match against the
-	// agent's own capacity below is the guard.
-	capn64, err := r.Uvarint()
-	if err != nil {
-		return err
+	// elements (the buffer may be mostly empty).
+	c.Len(len(rb.buf), "rl: replay capacity")
+	c.Int(&rb.next)
+	c.Bool(&rb.full)
+	if c.Decoding() {
+		if rb.next < 0 || rb.next >= max(len(rb.buf), 1) {
+			c.Failf("rl: replay ring position %d of %d", rb.next, len(rb.buf))
+			rb.next = 0
+		}
+		clear(rb.buf)
 	}
-	capn := int(capn64)
-	if capn64 > uint64(1<<32) || capn != len(rb.buf) {
-		return fmt.Errorf("rl: checkpoint replay capacity %d, agent has %d", capn, len(rb.buf))
-	}
-	if rb.next, err = r.Int(); err != nil {
-		return err
-	}
-	if rb.full, err = r.Bool(); err != nil {
-		return err
-	}
-	if rb.next < 0 || rb.next >= capn && capn > 0 {
-		return fmt.Errorf("rl: replay ring position %d of %d", rb.next, capn)
-	}
-	n, err := r.Count(4)
-	if err != nil {
-		return err
-	}
-	want := rb.next
-	if rb.full {
-		want = capn
-	}
-	if n != want {
-		return fmt.Errorf("rl: replay holds %d experiences, ring state implies %d", n, want)
-	}
-	for i := range rb.buf {
-		rb.buf[i] = Experience{}
-	}
+	// How many experiences follow is implied by the ring state.
+	n := rb.Len()
+	c.Len(n, "rl: replay experiences")
 	for i := 0; i < n; i++ {
-		var e Experience
-		if e.State, err = restoreVec(r); err != nil {
-			return err
-		}
-		if e.Action, err = r.Int(); err != nil {
-			return err
-		}
-		if e.Reward, err = r.F64(); err != nil {
-			return err
-		}
-		if e.Next, err = restoreVec(r); err != nil {
-			return err
-		}
-		rb.buf[i] = e
+		c.Mark(snap.PartKey(partRLReplayEntry, uint64(i)))
+		e := &rb.buf[i]
+		vecState(c, &e.State)
+		c.Int(&e.Action)
+		c.F64(&e.Reward)
+		vecState(c, &e.Next)
 	}
-	return nil
 }
 
-// Snapshot writes the agent's full learning state: both networks, the
-// replay buffer, the exploration RNG, and the iteration counters.
+// SnapState is the agent's full learning state: both networks, the replay
+// buffer, the exploration RNG, and the iteration counters. Decoding runs
+// on an agent constructed with the same configuration.
+func (d *DQN) SnapState(c *snap.Codec) {
+	d.Prediction.snapState(c)
+	d.target.snapState(c)
+	d.Replay.snapState(c)
+	c.Mark(snap.PartKey(partRLAgentTail, 0))
+	d.rng.SnapState(c)
+	c.Int(&d.iterations)
+	c.I64(&d.Inferences)
+}
+
+// Snapshot and Restore are SnapState's two directions for the training
+// checkpoint (internal/train), which frames its own section.
 func (d *DQN) Snapshot(w *snap.Writer) {
-	d.Prediction.Snapshot(w)
-	d.target.Snapshot(w)
-	d.Replay.Snapshot(w)
-	w.Mark(snap.PartKey(partRLAgentTail, 0))
-	d.rng.Snapshot(w)
-	w.Int(d.iterations)
-	w.I64(d.Inferences)
+	c := snap.Enc(w)
+	d.SnapState(&c)
 }
 
-// Restore overlays a state written by Snapshot onto an agent constructed
-// with the same configuration.
+// Restore reads a state written by Snapshot.
 func (d *DQN) Restore(r *snap.Reader) error {
-	pred, err := RestoreNet(r)
-	if err != nil {
-		return err
-	}
-	if !sameSizes(pred.Sizes, d.Prediction.Sizes) {
-		return fmt.Errorf("rl: checkpoint network sizes %v, agent has %v", pred.Sizes, d.Prediction.Sizes)
-	}
-	target, err := RestoreNet(r)
-	if err != nil {
-		return err
-	}
-	if !sameSizes(target.Sizes, d.Prediction.Sizes) {
-		return fmt.Errorf("rl: checkpoint target sizes %v, agent has %v", target.Sizes, d.Prediction.Sizes)
-	}
-	if err := d.Replay.Restore(r); err != nil {
-		return err
-	}
-	if err := d.rng.Restore(r); err != nil {
-		return err
-	}
-	if d.iterations, err = r.Int(); err != nil {
-		return err
-	}
-	if d.Inferences, err = r.I64(); err != nil {
-		return err
-	}
-	d.Prediction = pred
-	d.target = target
-	return nil
+	c := snap.Dec(r)
+	d.SnapState(&c)
+	return c.Err()
 }
 
-func sameSizes(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Snapshot writes the table's learned values and exploration RNG; keys are
+// SnapState is the table's learned values and exploration RNG; keys are
 // sorted so the encoding is canonical.
-func (t *QTable) Snapshot(w *snap.Writer) {
-	keys := make([]string, 0, len(t.q))
-	for k := range t.q {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	w.Uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		h := uint64(1469598103934665603)
-		for i := 0; i < len(k); i++ {
-			h ^= uint64(k[i])
-			h *= 1099511628211
+func (t *QTable) SnapState(c *snap.Codec) {
+	var keys []string
+	if !c.Decoding() {
+		keys = make([]string, 0, len(t.q))
+		for k := range t.q {
+			keys = append(keys, k)
 		}
-		w.Mark(snap.PartKey(partRLQRow, h))
-		w.String(k)
-		w.F64s(t.q[k])
+		sort.Strings(keys)
 	}
-	w.Mark(snap.PartKey(partRLAgentTail, 1))
-	t.rng.Snapshot(w)
-}
-
-// Restore reads a table written by Snapshot.
-func (t *QTable) Restore(r *snap.Reader) error {
-	n, err := r.Count(2)
-	if err != nil {
-		return err
+	n := c.Count(len(keys), 2)
+	if c.Decoding() {
+		t.q = make(map[string][]float64, n)
 	}
-	q := make(map[string][]float64, n)
 	for i := 0; i < n; i++ {
-		k, err := r.String()
-		if err != nil {
-			return err
+		var k string
+		var row []float64
+		if !c.Decoding() {
+			k, row = keys[i], t.q[keys[i]]
+			h := uint64(1469598103934665603)
+			for j := 0; j < len(k); j++ {
+				h ^= uint64(k[j])
+				h *= 1099511628211
+			}
+			c.Mark(snap.PartKey(partRLQRow, h))
 		}
-		row, err := r.F64s()
-		if err != nil {
-			return err
+		c.String(&k)
+		c.F64s(&row)
+		if !c.Decoding() || c.Err() != nil {
+			continue
 		}
-		if len(row) != NumActions {
-			return fmt.Errorf("rl: Q row %q has %d actions, want %d", k, len(row), NumActions)
+		if _, dup := t.q[k]; dup {
+			c.Failf("rl: duplicate Q row %q", k)
+		} else if len(row) != NumActions {
+			c.Failf("rl: Q row %q has %d actions, want %d", k, len(row), NumActions)
 		}
-		if _, dup := q[k]; dup {
-			return fmt.Errorf("rl: duplicate Q row %q", k)
-		}
-		q[k] = row
+		t.q[k] = row
 	}
-	if err := t.rng.Restore(r); err != nil {
-		return err
-	}
-	t.q = q
-	return nil
+	c.Mark(snap.PartKey(partRLAgentTail, 1))
+	t.rng.SnapState(c)
 }

@@ -5,7 +5,6 @@ package sim
 // explicitly here so the layers above can round-trip a simulation.
 
 import (
-	"fmt"
 	"sort"
 
 	"adaptnoc/internal/snap"
@@ -18,183 +17,98 @@ func (r *RNG) State() [4]uint64 { return r.s }
 // exactly as if the intervening draws had happened in this process.
 func (r *RNG) SetState(s [4]uint64) { r.s = s }
 
-// Snapshot writes the generator state.
-func (r *RNG) Snapshot(w *snap.Writer) {
-	for _, word := range r.s {
-		w.U64(word)
-	}
-}
-
-// Restore reads a state written by Snapshot.
-func (r *RNG) Restore(rd *snap.Reader) error {
+// SnapState is the generator's checkpoint record: its four state words.
+func (r *RNG) SnapState(c *snap.Codec) {
 	for i := range r.s {
-		v, err := rd.U64()
-		if err != nil {
-			return err
-		}
-		r.s[i] = v
+		c.U64(&r.s[i])
 	}
-	return nil
 }
 
-// Snapshot writes the accumulator's exact running state, bit patterns
+// SnapState is the accumulator's exact running state, bit patterns
 // included, so a restored accumulator continues producing identical means
 // and variances.
-func (a *Accumulator) Snapshot(w *snap.Writer) {
-	w.I64(a.n)
-	w.F64(a.mean)
-	w.F64(a.m2)
-	w.F64(a.min)
-	w.F64(a.max)
+func (a *Accumulator) SnapState(c *snap.Codec) {
+	c.I64(&a.n)
+	c.F64(&a.mean)
+	c.F64(&a.m2)
+	c.F64(&a.min)
+	c.F64(&a.max)
 }
 
-// Restore reads a state written by Snapshot.
-func (a *Accumulator) Restore(r *snap.Reader) error {
-	var err error
-	if a.n, err = r.I64(); err != nil {
-		return err
+// SnapState is the histogram's shape and counts; decoding replaces both.
+func (h *Histogram) SnapState(c *snap.Codec) {
+	c.I64(&h.width)
+	c.I64s(&h.buckets)
+	c.I64(&h.over)
+	h.acc.SnapState(c)
+	if c.Decoding() {
+		if h.width <= 0 {
+			c.Failf("sim: histogram width %d", h.width)
+		}
+		if len(h.buckets) == 0 {
+			c.Failf("sim: histogram with no buckets")
+		}
 	}
-	if a.mean, err = r.F64(); err != nil {
-		return err
-	}
-	if a.m2, err = r.F64(); err != nil {
-		return err
-	}
-	if a.min, err = r.F64(); err != nil {
-		return err
-	}
-	a.max, err = r.F64()
-	return err
 }
 
-// Snapshot writes the histogram's shape and counts.
-func (h *Histogram) Snapshot(w *snap.Writer) {
-	w.I64(h.width)
-	w.I64s(h.buckets)
-	w.I64(h.over)
-	h.acc.Snapshot(w)
-}
-
-// Restore reads a state written by Snapshot, replacing the histogram's
-// shape and counts.
-func (h *Histogram) Restore(r *snap.Reader) error {
-	width, err := r.I64()
-	if err != nil {
-		return err
-	}
-	if width <= 0 {
-		return fmt.Errorf("sim: histogram width %d", width)
-	}
-	buckets, err := r.I64s()
-	if err != nil {
-		return err
-	}
-	if len(buckets) == 0 {
-		return fmt.Errorf("sim: histogram with no buckets")
-	}
-	over, err := r.I64()
-	if err != nil {
-		return err
-	}
-	h.width, h.buckets, h.over = width, buckets, over
-	return h.acc.Restore(r)
-}
-
-// Snapshot writes the kernel's clock and future-event list. Only
-// descriptor events (ScheduleOp/AfterOp) are serializable; a pending
-// closure event is reported as an error because a function value cannot
-// be rebound in another process — the caller surfaces "not checkpointable
+// SnapState is the kernel's clock and future-event list. Decoding runs on
+// a freshly constructed kernel: the clock jumps to the checkpointed cycle
+// and the event list is rebuilt; tickers and op handlers are
+// construction-time wiring and must already be registered.
+//
+// Only descriptor events (ScheduleOp/AfterOp) are serializable; a pending
+// closure event fails the encode because a function value cannot be
+// rebound in another process — the caller surfaces "not checkpointable
 // here" rather than silently dropping the event.
 //
 // Events are written sorted by (at, seq). The heap's internal array layout
 // depends on insertion history, but its pop order is a pure function of
 // the (at, seq) keys, so the canonical sorted order restores identical
 // behaviour and gives byte-identical snapshots regardless of layout.
-func (k *Kernel) Snapshot(w *snap.Writer) error {
-	evs := append([]event(nil), k.events...)
-	sort.Slice(evs, func(i, j int) bool {
-		if evs[i].at != evs[j].at {
-			return evs[i].at < evs[j].at
-		}
-		return evs[i].seq < evs[j].seq
-	})
-	for _, ev := range evs {
-		if ev.fn != nil {
-			return fmt.Errorf("sim: pending closure event at cycle %d cannot be checkpointed", ev.at)
-		}
+func (k *Kernel) SnapState(c *snap.Codec) {
+	var evs eventHeap
+	if !c.Decoding() {
+		evs = append(evs, k.events...)
+		sort.Slice(evs, evs.less)
 	}
 	// Part-mark kinds inside the kernel section (delta alignment only):
 	// kind 0 is the clock header, kind 1 keys each event by its sequence
 	// number, which is stable for an event that merely survives between
 	// two snapshots and pairs positionally when it reschedules.
-	w.Mark(snap.PartKey(0, 0))
-	w.I64(int64(k.now))
-	w.I64(k.seq)
-	w.Uvarint(uint64(len(evs)))
-	for _, ev := range evs {
-		w.Mark(snap.PartKey(1, uint64(ev.seq)))
-		w.I64(int64(ev.at))
-		w.I64(ev.seq)
-		w.U32(uint32(ev.op))
-		for _, a := range ev.args {
-			w.I64(a)
-		}
+	c.Mark(snap.PartKey(0, 0))
+	c.I64((*int64)(&k.now))
+	c.I64(&k.seq)
+	n := c.Count(len(evs), 8*5+4)
+	if c.Decoding() {
+		k.events = make(eventHeap, 0, n)
 	}
-	return nil
-}
-
-// Restore reads a state written by Snapshot into a freshly constructed
-// kernel: the clock jumps to the checkpointed cycle and the event list is
-// rebuilt. Tickers and op handlers are construction-time wiring and must
-// already be registered.
-func (k *Kernel) Restore(r *snap.Reader) error {
-	now, err := r.I64()
-	if err != nil {
-		return err
-	}
-	seq, err := r.I64()
-	if err != nil {
-		return err
-	}
-	n, err := r.Count(8*5 + 4)
-	if err != nil {
-		return err
-	}
-	events := make(eventHeap, 0, n)
 	for i := 0; i < n; i++ {
 		var ev event
-		at, err := r.I64()
-		if err != nil {
-			return err
-		}
-		ev.at = Cycle(at)
-		if ev.seq, err = r.I64(); err != nil {
-			return err
-		}
-		op, err := r.U32()
-		if err != nil {
-			return err
-		}
-		if op == 0 {
-			return fmt.Errorf("sim: checkpoint contains closure event")
-		}
-		if k.ops[OpID(op)] == nil {
-			return fmt.Errorf("sim: event references unregistered op %d", op)
-		}
-		ev.op = OpID(op)
-		for j := range ev.args {
-			if ev.args[j], err = r.I64(); err != nil {
-				return err
+		if !c.Decoding() {
+			ev = evs[i]
+			if ev.fn != nil {
+				c.Failf("sim: pending closure event at cycle %d cannot be checkpointed", ev.at)
 			}
 		}
-		if ev.at < Cycle(now) {
-			return fmt.Errorf("sim: event at cycle %d behind restored clock %d", ev.at, now)
+		c.Mark(snap.PartKey(1, uint64(ev.seq)))
+		c.I64((*int64)(&ev.at))
+		c.I64(&ev.seq)
+		c.U32((*uint32)(&ev.op))
+		for j := range ev.args {
+			c.I64(&ev.args[j])
 		}
-		if ev.seq > seq {
-			return fmt.Errorf("sim: event seq %d ahead of restored counter %d", ev.seq, seq)
+		if c.Decoding() {
+			switch {
+			case ev.op == 0:
+				c.Failf("sim: checkpoint contains closure event")
+			case k.ops[ev.op] == nil:
+				c.Failf("sim: event references unregistered op %d", ev.op)
+			case ev.at < k.now:
+				c.Failf("sim: event at cycle %d behind restored clock %d", ev.at, k.now)
+			case ev.seq > k.seq:
+				c.Failf("sim: event seq %d ahead of restored counter %d", ev.seq, k.seq)
+			}
+			k.events.push(ev)
 		}
-		events.push(ev)
 	}
-	k.now, k.seq, k.events = Cycle(now), seq, events
-	return nil
 }

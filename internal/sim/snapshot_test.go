@@ -56,6 +56,19 @@ func TestRNGGoldenVectors(t *testing.T) {
 	}
 }
 
+// roundTrip encodes one SnapState description and decodes the bytes through
+// another, returning the first failure of either direction.
+func roundTrip(enc, dec func(*snap.Codec)) error {
+	var w snap.Writer
+	e := snap.Enc(&w)
+	if enc(&e); e.Err() != nil {
+		return e.Err()
+	}
+	d := snap.Dec(snap.NewReader(w.Bytes()))
+	dec(&d)
+	return d.Err()
+}
+
 func TestRNGStateRoundTrip(t *testing.T) {
 	r := NewRNG(99)
 	for i := 0; i < 1000; i++ {
@@ -78,12 +91,10 @@ func TestRNGStateRoundTrip(t *testing.T) {
 	}
 
 	// And via the binary snapshot path.
-	var w snap.Writer
 	r2 := NewRNG(7)
 	r2.Uint64()
-	r2.Snapshot(&w)
 	var r3 RNG
-	if err := r3.Restore(snap.NewReader(w.Bytes())); err != nil {
+	if err := roundTrip(r2.SnapState, r3.SnapState); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 64; i++ {
@@ -126,10 +137,8 @@ func TestAccumulatorHistogramRoundTrip(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		a.Add(r.NormFloat64() * 10)
 	}
-	var w snap.Writer
-	a.Snapshot(&w)
 	var b Accumulator
-	if err := b.Restore(snap.NewReader(w.Bytes())); err != nil {
+	if err := roundTrip(a.SnapState, b.SnapState); err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
@@ -146,10 +155,8 @@ func TestAccumulatorHistogramRoundTrip(t *testing.T) {
 	for i := int64(0); i < 300; i++ {
 		h.Add(i)
 	}
-	var hw snap.Writer
-	h.Snapshot(&hw)
-	h2 := NewHistogram(1, 1) // shape is overwritten by Restore
-	if err := h2.Restore(snap.NewReader(hw.Bytes())); err != nil {
+	h2 := NewHistogram(1, 1) // shape is overwritten by the decode
+	if err := roundTrip(h.SnapState, h2.SnapState); err != nil {
 		t.Fatal(err)
 	}
 	if h.Summary() != h2.Summary() || h.Overflow() != h2.Overflow() {
@@ -189,13 +196,8 @@ func TestKernelOpEventsRoundTrip(t *testing.T) {
 	k.ScheduleOp(5, opPing, 0, 10, 20)
 	k.ScheduleOp(8, opPing, 100, 0, 0)
 	k.Run(6)
-	var w snap.Writer
-	if err := k.Snapshot(&w); err != nil {
-		t.Fatal(err)
-	}
-
 	k2, log2 := build()
-	if err := k2.Restore(snap.NewReader(w.Bytes())); err != nil {
+	if err := roundTrip(k.SnapState, k2.SnapState); err != nil {
 		t.Fatal(err)
 	}
 	if k2.Now() != 6 {
@@ -229,8 +231,7 @@ func TestKernelOpEventsRoundTrip(t *testing.T) {
 func TestKernelSnapshotRejectsClosures(t *testing.T) {
 	k := NewKernel()
 	k.Schedule(10, func(Cycle) {})
-	var w snap.Writer
-	if err := k.Snapshot(&w); err == nil {
+	if err := roundTrip(k.SnapState, NewKernel().SnapState); err == nil {
 		t.Fatal("closure event serialized without error")
 	}
 }
@@ -247,8 +248,9 @@ func TestKernelRestoreRejectsCorruptEvents(t *testing.T) {
 	w.I64(0)
 	w.I64(0)
 	w.I64(0)
-	k := NewKernel()
-	if err := k.Restore(snap.NewReader(w.Bytes())); err == nil {
+	d := snap.Dec(snap.NewReader(w.Bytes()))
+	NewKernel().SnapState(&d)
+	if d.Err() == nil {
 		t.Fatal("event behind clock accepted")
 	}
 }

@@ -1,6 +1,10 @@
 // Package snap is the binary substrate of the checkpoint format: a
-// length-aware little-endian writer/reader pair that every layer's
-// Snapshot/Restore methods build on.
+// length-aware little-endian Writer/Reader pair, and over them the Codec
+// (codec.go) through which every layer states each of its records once,
+// as one SnapState description that both encodes and decodes. The
+// error-returning Reader methods are the primitive layer under the Codec
+// and what the framings use directly (blobs and sections here, delta
+// frames in delta.go, the frame log in chainlog.go).
 //
 // The format is deliberately primitive — fixed-width integers, varint
 // lengths, length-prefixed byte strings, and named length-prefixed
@@ -12,8 +16,8 @@
 // The Reader is written to be safe on adversarial input: every length is
 // bounds-checked against the bytes actually remaining before any
 // allocation happens, so a truncated or corrupted blob produces an error,
-// never a panic or a multi-gigabyte allocation. The checkpoint fuzz
-// target (FuzzRestore) leans on this.
+// never a panic or a multi-gigabyte allocation. The fuzz targets
+// (FuzzRestoreSim, FuzzCodecDecode, FuzzDecodeDelta) lean on this.
 package snap
 
 import (

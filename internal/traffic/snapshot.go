@@ -9,20 +9,10 @@ package traffic
 
 import "adaptnoc/internal/snap"
 
-// Snapshot writes the source's dynamic state (RNG stream and injection
+// SnapState is the source's dynamic state (RNG stream and injection
 // counter). The network, pattern, tile set, and rates are configuration
 // and are not serialized.
-func (s *OpenLoopSource) Snapshot(w *snap.Writer) {
-	s.RNG.Snapshot(w)
-	w.I64(s.Injected)
-}
-
-// Restore reads a state written by Snapshot.
-func (s *OpenLoopSource) Restore(r *snap.Reader) error {
-	if err := s.RNG.Restore(r); err != nil {
-		return err
-	}
-	var err error
-	s.Injected, err = r.I64()
-	return err
+func (s *OpenLoopSource) SnapState(c *snap.Codec) {
+	s.RNG.SnapState(c)
+	c.I64(&s.Injected)
 }

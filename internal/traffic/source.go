@@ -108,11 +108,9 @@ type Source interface {
 	Progress() float64
 	// StallCycles returns cumulative full-window stall cycles.
 	StallCycles() int64
-	// Snapshot serializes the source's dynamic state.
-	Snapshot(w *snap.Writer)
-	// Restore reads a state written by Snapshot on an identically
-	// constructed source.
-	Restore(r *snap.Reader) error
+	// SnapState is the source's dynamic state as a checkpoint record;
+	// decoding runs on an identically constructed source.
+	SnapState(c *snap.Codec)
 }
 
 // Retirer is implemented by sources that must observe packet retirement
@@ -372,63 +370,27 @@ func (s *PhaseSource) emitMem(ci int, c *phaseCore, ph Phase) {
 // only, never serialized; see snap.Part).
 const (
 	// PartSrcApp marks one application's source blob; the machine's
-	// source-section writer emits it before each Source.Snapshot.
+	// source section emits it before each Source.SnapState.
 	PartSrcApp = iota
 	partSrcCore
 )
 
-// Snapshot implements Source: the parent RNG stream and every core's
+// SnapState implements Source: the parent RNG stream and every core's
 // execution position.
-func (s *PhaseSource) Snapshot(w *snap.Writer) {
-	s.rng.Snapshot(w)
-	w.Uvarint(uint64(len(s.cores)))
+func (s *PhaseSource) SnapState(c *snap.Codec) {
+	s.rng.SnapState(c)
+	c.Len(len(s.cores), "traffic: phase source cores")
 	for ci := range s.cores {
-		c := &s.cores[ci]
-		w.Mark(snap.PartKey(partSrcCore, uint64(ci)))
-		w.I64(c.retired)
-		w.Int(c.phaseIdx)
-		w.I64(c.phaseInstr)
-		w.F64(c.ipcAcc)
-		w.I64(c.stall)
-		c.rng.Snapshot(w)
+		pc := &s.cores[ci]
+		c.Mark(snap.PartKey(partSrcCore, uint64(ci)))
+		c.I64(&pc.retired)
+		c.Int(&pc.phaseIdx)
+		if c.Decoding() && (pc.phaseIdx < 0 || pc.phaseIdx >= len(s.prof.Phases)) {
+			c.Failf("traffic: phase index %d out of range", pc.phaseIdx)
+		}
+		c.I64(&pc.phaseInstr)
+		c.F64(&pc.ipcAcc)
+		c.I64(&pc.stall)
+		pc.rng.SnapState(c)
 	}
-}
-
-// Restore implements Source.
-func (s *PhaseSource) Restore(r *snap.Reader) error {
-	if err := s.rng.Restore(r); err != nil {
-		return err
-	}
-	n, err := r.Count(1)
-	if err != nil {
-		return err
-	}
-	if n != len(s.cores) {
-		return corruptf("phase source has %d cores, snapshot %d", len(s.cores), n)
-	}
-	for ci := range s.cores {
-		c := &s.cores[ci]
-		if c.retired, err = r.I64(); err != nil {
-			return err
-		}
-		if c.phaseIdx, err = r.Int(); err != nil {
-			return err
-		}
-		if c.phaseIdx < 0 || c.phaseIdx >= len(s.prof.Phases) {
-			return corruptf("phase index %d out of range", c.phaseIdx)
-		}
-		if c.phaseInstr, err = r.I64(); err != nil {
-			return err
-		}
-		if c.ipcAcc, err = r.F64(); err != nil {
-			return err
-		}
-		if c.stall, err = r.I64(); err != nil {
-			return err
-		}
-		if err := c.rng.Restore(r); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -573,112 +573,84 @@ func (s *TraceSource) Retire(ref uint64, now sim.Cycle) {
 	}
 }
 
-// Snapshot implements Source: the injected/retired bitmaps and the
-// released-pending set. Dependency counts are recomputed on restore.
-func (s *TraceSource) Snapshot(w *snap.Writer) {
-	writeBitmap(w, s.injected)
-	writeBitmap(w, s.retired)
-	// Canonical order: the heap's array layout depends on operation
-	// history, so serialize a sorted copy (which is itself a valid heap).
-	pend := append(injHeap(nil), s.ready...)
-	sort.Slice(pend, func(i, j int) bool { return pend.less(i, j) })
-	w.Uvarint(uint64(len(pend)))
-	for _, e := range pend {
-		w.I64(int64(e.cycle))
-		w.Varint(int64(e.node))
+// SnapState implements Source: the injected/retired bitmaps and the
+// released-pending set. Dependency counts are recomputed when decoding.
+func (s *TraceSource) SnapState(c *snap.Codec) {
+	bitmapState(c, s.injected)
+	bitmapState(c, s.retired)
+	var pend injHeap
+	var n int
+	if c.Decoding() {
+		s.nRetired = 0
+		for ni := range s.retired {
+			if s.retired[ni] && !s.injected[ni] {
+				c.Failf("traffic: trace node %d retired but never injected", ni)
+			}
+			if s.retired[ni] {
+				s.nRetired++
+			}
+			s.depLeft[ni] = 0
+			for _, d := range s.app.Nodes[ni].Deps {
+				if !s.retired[d] {
+					s.depLeft[ni]++
+				}
+			}
+		}
+		// The pending set is exactly the released-but-not-injected nodes.
+		for ni := range s.app.Nodes {
+			if !s.injected[ni] && s.depLeft[ni] == 0 {
+				n++
+			}
+		}
+		s.ready, s.events, s.evHead = s.ready[:0], s.events[:0], 0
+	} else {
+		// Canonical order: the heap's array layout depends on operation
+		// history, so serialize a sorted copy (which is itself a valid heap).
+		pend = append(pend, s.ready...)
+		sort.Slice(pend, pend.less)
+		n = len(pend)
+	}
+	c.Len(n, "traffic: trace pending nodes")
+	for i := 0; i < n; i++ {
+		var e injEntry
+		if !c.Decoding() {
+			e = pend[i]
+		}
+		node := int(e.node)
+		c.I64((*int64)(&e.cycle))
+		c.Int(&node)
+		if !c.Decoding() || c.Err() != nil {
+			continue
+		}
+		switch {
+		case node < 0 || node >= len(s.app.Nodes):
+			c.Failf("traffic: trace snapshot pending node %d out of range", node)
+		case s.injected[node] || s.depLeft[node] != 0:
+			c.Failf("traffic: trace snapshot pending node %d not releasable", node)
+		default:
+			// Entries were serialized in sorted order, which satisfies the
+			// heap invariant as-is.
+			s.ready = append(s.ready, injEntry{cycle: e.cycle, node: int32(node)})
+		}
 	}
 }
 
-// Restore implements Source.
-func (s *TraceSource) Restore(r *snap.Reader) error {
-	if err := readBitmap(r, s.injected); err != nil {
-		return err
-	}
-	if err := readBitmap(r, s.retired); err != nil {
-		return err
-	}
-	s.nRetired = 0
-	for ni := range s.retired {
-		if s.retired[ni] && !s.injected[ni] {
-			return corruptf("trace node %d retired but never injected", ni)
+// bitmapState is a []bool of live-structure length, packed 64 to a word.
+func bitmapState(c *snap.Codec, bits []bool) {
+	c.Len(len(bits), "traffic: bitmap bits")
+	for lo := 0; lo < len(bits); lo += 64 {
+		chunk := bits[lo:min(lo+64, len(bits))]
+		var word uint64
+		for j, b := range chunk {
+			if b {
+				word |= 1 << j
+			}
 		}
-		if s.retired[ni] {
-			s.nRetired++
-		}
-		s.depLeft[ni] = 0
-		for _, d := range s.app.Nodes[ni].Deps {
-			if !s.retired[d] {
-				s.depLeft[ni]++
+		c.U64(&word)
+		if c.Decoding() {
+			for j := range chunk {
+				chunk[j] = word&(1<<j) != 0
 			}
 		}
 	}
-	nPend, err := r.Count(9)
-	if err != nil {
-		return err
-	}
-	s.ready = s.ready[:0]
-	released := 0
-	for ni := range s.app.Nodes {
-		if !s.injected[ni] && s.depLeft[ni] == 0 {
-			released++
-		}
-	}
-	if nPend != released {
-		return corruptf("trace snapshot has %d pending nodes, want %d", nPend, released)
-	}
-	for i := 0; i < nPend; i++ {
-		cyc, err := r.I64()
-		if err != nil {
-			return err
-		}
-		node, err := r.Varint()
-		if err != nil {
-			return err
-		}
-		if node < 0 || node >= int64(len(s.app.Nodes)) {
-			return corruptf("trace snapshot pending node %d out of range", node)
-		}
-		if s.injected[node] || s.depLeft[node] != 0 {
-			return corruptf("trace snapshot pending node %d not releasable", node)
-		}
-		// Entries were serialized in sorted order, which satisfies the
-		// heap invariant as-is.
-		s.ready = append(s.ready, injEntry{cycle: sim.Cycle(cyc), node: int32(node)})
-	}
-	s.events = s.events[:0]
-	s.evHead = 0
-	return nil
-}
-
-func writeBitmap(w *snap.Writer, bits []bool) {
-	words := make([]uint64, (len(bits)+63)/64)
-	for i, b := range bits {
-		if b {
-			words[i/64] |= 1 << (i % 64)
-		}
-	}
-	w.Uvarint(uint64(len(bits)))
-	for _, word := range words {
-		w.U64(word)
-	}
-}
-
-func readBitmap(r *snap.Reader, bits []bool) error {
-	n, err := r.Uvarint()
-	if err != nil {
-		return err
-	}
-	if n != uint64(len(bits)) {
-		return corruptf("bitmap has %d bits, want %d", n, len(bits))
-	}
-	for wi := 0; wi < (len(bits)+63)/64; wi++ {
-		word, err := r.U64()
-		if err != nil {
-			return err
-		}
-		for j := 0; j < 64 && wi*64+j < len(bits); j++ {
-			bits[wi*64+j] = word&(1<<j) != 0
-		}
-	}
-	return nil
 }

@@ -280,12 +280,14 @@ func TestTraceSourceSnapshotRestore(t *testing.T) {
 		}
 	}
 	var w snap.Writer
-	s1.Snapshot(&w)
+	enc := snap.Enc(&w)
+	s1.SnapState(&enc)
 
 	s2 := NewTraceSource(app, 0, 0, 8)
 	s2.Bind(&traceView{})
-	if err := s2.Restore(snap.NewReader(w.Bytes())); err != nil {
-		t.Fatal(err)
+	dec := snap.Dec(snap.NewReader(w.Bytes()))
+	if s2.SnapState(&dec); dec.Err() != nil {
+		t.Fatal(dec.Err())
 	}
 	run(s2, 5, &got)
 	if !reflect.DeepEqual(got, want) {
@@ -293,7 +295,8 @@ func TestTraceSourceSnapshotRestore(t *testing.T) {
 	}
 
 	// A corrupt snapshot must be rejected, not trusted.
-	if err := s2.Restore(snap.NewReader([]byte{7, 7, 7})); err == nil {
+	dec = snap.Dec(snap.NewReader([]byte{7, 7, 7}))
+	if s2.SnapState(&dec); dec.Err() == nil {
 		t.Fatal("restore accepted garbage")
 	}
 }
