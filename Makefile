@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: build test race bench bench-smoke quick check cover fuzzseeds serve-smoke fault-smoke fleet-smoke trace-smoke
+.PHONY: build test race bench bench-smoke quick check cover fuzzseeds fault-smoke trace-smoke
 
 build:
 	go build ./...
@@ -11,19 +11,15 @@ test:
 # check is the full pre-merge gate, and all CI runs: vet, formatting, the
 # complete test suite under the race detector, every fuzz target replayed
 # over its committed seed corpus (no fuzzing engine — plain deterministic
-# replay), the smoke targets below, and the coverage floor. `go test -race
-# ./...` already contains the sharded-tick and fault-campaign determinism
-# suites (`-run 'TestSharded|TestFault' .`) — the byte-identity proofs for
-# the worker gang and the fault engine's quiescent apply points — and the
-# fleet's multi-node kill/handoff e2e, so nothing re-runs them on their own.
+# replay), the smoke targets below, and the coverage floor. The serve
+# daemon and the fleet need no smoke target: their tests already drive
+# them over loopback HTTP (internal/serve, internal/fleet).
 check:
 	go vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
-	go test -race -timeout 30m ./...
+	$(MAKE) race
 	$(MAKE) fuzzseeds
-	$(MAKE) serve-smoke
-	$(MAKE) fleet-smoke
 	$(MAKE) fault-smoke
 	$(MAKE) trace-smoke
 	$(MAKE) bench-smoke
@@ -44,17 +40,14 @@ cover:
 fuzzseeds:
 	go test -run 'Fuzz' ./...
 
-# race runs the concurrency-sensitive packages — the experiment runner,
-# the simulation kernel, the network substrate, and the experiment
-# drivers' determinism guard — under the race detector, plus the sharded
-# tick determinism suite and the fault campaigns (the worker gang's
-# byte-identity proof and the fault engine's quiescent apply points both
-# need the detector watching the region boundaries). It must stay clean
-# at any -parallel or -shards setting.
+# race runs the complete test suite under the race detector. That covers
+# the sharded-tick and fault-campaign determinism suites (the byte-identity
+# proofs for the worker gang and the fault engine's quiescent apply
+# points), the runner's parallelism guard, and the serve and fleet
+# daemons' loopback HTTP tests including the fleet's multi-node
+# kill/handoff e2e. It must stay clean at any -parallel or -shards setting.
 race:
-	go test -race -short ./internal/runner ./internal/sim ./internal/noc ./internal/serve ./internal/fleet
-	go test -race ./internal/exp -run DeterministicAcrossParallelism
-	go test -race -run 'TestSharded|TestFault' .
+	go test -race -timeout 30m ./...
 
 # bench runs the performance ledger, all eight workloads end to end
 # (benchmark/README.md); bench-smoke runs its tests (also part of check):
@@ -65,19 +58,6 @@ bench:
 
 bench-smoke:
 	go -C benchmark test ./...
-
-# serve-smoke boots the daemon on a loopback port, round-trips one job
-# over real HTTP, and verifies the cache-hit path (also part of check).
-serve-smoke:
-	go run ./cmd/adaptnoc-serve -smoke
-
-# fleet-smoke boots a coordinator plus two serve workers on loopback
-# ports, drives a small suite through the full fleet HTTP surface, and
-# verifies the merged tables byte-for-byte against a local run — then
-# resubmits the suite and verifies it completes without a single new
-# dispatch (also part of check).
-fleet-smoke:
-	go run ./cmd/adaptnoc-fleet -smoke
 
 # fault-smoke runs a small generated fault campaign end-to-end on a
 # static and an adaptive design with the invariant checker armed every

@@ -11,16 +11,15 @@
 // Workers can also self-register: run adaptnoc-serve with
 // -enroll http://coordinator:8090 and it registers and heartbeats itself.
 //
-// -smoke is the CI self-test: coordinator plus two in-process workers on
-// loopback ports, a small suite driven through the full HTTP surface,
-// output compared byte-for-byte against a local run, and a resubmission
-// verified to complete without a single new dispatch.
+// The fleet is tested end to end over loopback HTTP by internal/fleet's
+// tests (TestMultiNodeKillByteIdentity kills a worker mid-suite, checks
+// the merged tables against a local run, then resubmits the suite and
+// checks it completes without a single new dispatch).
 package main
 
 import (
 	"context"
 	"flag"
-	"fmt"
 	"log"
 	"net"
 	"net/http"
@@ -43,17 +42,8 @@ func main() {
 		maxAttempts = flag.Int("max-attempts", 8, "dispatch attempts per work item before it fails permanently")
 		parallel    = flag.Int("parallel", 0, "evaluations in flight per suite (0 = one per CPU)")
 		ttl         = flag.Duration("heartbeat-ttl", 15*time.Second, "how long a worker stays schedulable after its last heartbeat or probe")
-		smoke       = flag.Bool("smoke", false, "run the loopback self-test and exit")
 	)
 	flag.Parse()
-
-	if *smoke {
-		if err := runSmoke(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println("fleet smoke: ok")
-		return
-	}
 
 	c := fleet.New(fleet.Options{
 		Lease:        *lease,

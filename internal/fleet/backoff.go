@@ -1,10 +1,9 @@
 package fleet
 
 import (
-	"sync"
 	"time"
 
-	"adaptnoc/internal/sim"
+	"adaptnoc/internal/httpkit"
 )
 
 // Requeue backoff shape: exponential from base to cap, with full jitter on
@@ -15,26 +14,15 @@ const (
 	backoffCap  = 30 * time.Second
 )
 
-// jitterSource is a mutex-guarded deterministic RNG: the coordinator's
-// backoff jitter and steal decisions draw from it, so a seeded coordinator
-// retries on a reproducible schedule (tests pin the seed; production seeds
-// from the clock).
-type jitterSource struct {
-	mu  sync.Mutex
-	rng *sim.RNG
-}
-
-func newJitterSource(seed uint64) *jitterSource {
-	if seed == 0 {
-		seed = uint64(time.Now().UnixNano())
-	}
-	return &jitterSource{rng: sim.NewRNG(seed)}
-}
+// backoffJitter draws the coordinator's requeue waits from a seeded
+// source, so a seeded coordinator retries on a reproducible schedule (tests
+// pin the seed; production seeds from the clock).
+type backoffJitter struct{ *httpkit.Jitter }
 
 // backoff returns the wait before retry number attempt (1-based): an
 // exponential envelope with the actual wait drawn uniformly from
 // [envelope/2, envelope).
-func (j *jitterSource) backoff(attempt int) time.Duration {
+func (j backoffJitter) backoff(attempt int) time.Duration {
 	d := backoffBase
 	for i := 1; i < attempt && d < backoffCap; i++ {
 		d *= 2
@@ -42,9 +30,6 @@ func (j *jitterSource) backoff(attempt int) time.Duration {
 	if d > backoffCap {
 		d = backoffCap
 	}
-	half := int64(d / 2)
-	j.mu.Lock()
-	w := half + int64(j.rng.Uint64()%uint64(half))
-	j.mu.Unlock()
-	return time.Duration(w)
+	half := d / 2
+	return half + time.Duration(j.Below(uint64(half)))
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strings"
@@ -14,6 +13,7 @@ import (
 	"time"
 
 	"adaptnoc"
+	"adaptnoc/internal/httpkit"
 	"adaptnoc/internal/runner"
 	"adaptnoc/internal/serve"
 	"adaptnoc/internal/sim"
@@ -55,7 +55,7 @@ type Options struct {
 type Coordinator struct {
 	opts   Options
 	mux    *http.ServeMux
-	jitter *jitterSource
+	jitter backoffJitter
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -111,7 +111,7 @@ func New(o Options) *Coordinator {
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &Coordinator{
 		opts:     o,
-		jitter:   newJitterSource(o.JitterSeed),
+		jitter:   backoffJitter{httpkit.NewJitter(o.JitterSeed)},
 		ctx:      ctx,
 		cancel:   cancel,
 		items:    make(map[string]*item),
@@ -571,20 +571,19 @@ func (c *Coordinator) AddWorker(url string) (WorkerInfo, bool) {
 }
 
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<16))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("reading body: %v", err))
+	body, ok := httpkit.ReadBody(w, r, 1<<16, "body")
+	if !ok {
 		return
 	}
 	var reg struct {
 		URL string `json:"url"`
 	}
 	if err := json.Unmarshal(body, &reg); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("parsing registration: %v", err))
+		httpkit.Error(w, http.StatusBadRequest, fmt.Sprintf("parsing registration: %v", err))
 		return
 	}
 	if strings.TrimSpace(reg.URL) == "" {
-		httpError(w, http.StatusBadRequest, `missing worker url (want {"url": "http://host:port"})`)
+		httpkit.Error(w, http.StatusBadRequest, `missing worker url (want {"url": "http://host:port"})`)
 		return
 	}
 	info, created := c.AddWorker(reg.URL)
@@ -592,7 +591,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if created {
 		status = http.StatusCreated
 	}
-	writeJSON(w, status, info)
+	httpkit.WriteJSON(w, status, info)
 }
 
 func (c *Coordinator) lookupWorker(id string) *worker {
@@ -604,11 +603,11 @@ func (c *Coordinator) lookupWorker(id string) *worker {
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	wk := c.lookupWorker(r.PathValue("id"))
 	if wk == nil {
-		httpError(w, http.StatusNotFound, "no such worker (re-register)")
+		httpkit.Error(w, http.StatusNotFound, "no such worker (re-register)")
 		return
 	}
 	wk.noteAlive()
-	writeJSON(w, http.StatusOK, wk.info(c.opts.HeartbeatTTL))
+	httpkit.WriteJSON(w, http.StatusOK, wk.info(c.opts.HeartbeatTTL))
 }
 
 func (c *Coordinator) handleUnregister(w http.ResponseWriter, r *http.Request) {
@@ -618,12 +617,12 @@ func (c *Coordinator) handleUnregister(w http.ResponseWriter, r *http.Request) {
 	delete(c.workers, id)
 	c.mu.Unlock()
 	if wk == nil {
-		httpError(w, http.StatusNotFound, "no such worker")
+		httpkit.Error(w, http.StatusNotFound, "no such worker")
 		return
 	}
 	wk.markDead() // in-flight attempts notice and requeue elsewhere
 	c.logf("fleet: unregistered %s", id)
-	writeJSON(w, http.StatusOK, map[string]string{"removed": id})
+	httpkit.WriteJSON(w, http.StatusOK, map[string]string{"removed": id})
 }
 
 func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
@@ -634,24 +633,10 @@ func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
 	}
 	c.mu.Unlock()
 	sort.Slice(infos, func(a, b int) bool { return infos[a].ID < infos[b].ID })
-	writeJSON(w, http.StatusOK, infos)
+	httpkit.WriteJSON(w, http.StatusOK, infos)
 }
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "ok")
-}
-
-// --- small helpers (mirroring internal/serve) ---
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func httpError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
 }

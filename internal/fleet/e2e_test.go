@@ -166,6 +166,41 @@ func TestMultiNodeKillByteIdentity(t *testing.T) {
 	if n := c.localRuns.Load(); n != 0 {
 		t.Errorf("%d evaluations fell back to the coordinator, want 0", n)
 	}
+
+	// Completed items are the cluster's memo: resubmitting the suite must
+	// render the same bytes without a single new dispatch.
+	dispatches := c.dispatches.Load()
+	if dispatches == 0 {
+		t.Fatal("suite completed without dispatching to workers")
+	}
+	resp, err = http.Post(cts.URL+"/v1/suites", "application/json", bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again SuiteInfo
+	json.NewDecoder(resp.Body).Decode(&again)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("resubmit: %s", resp.Status)
+	}
+	resp, err = http.Get(cts.URL + "/v1/suites/" + again.ID + "/events") // returns once the suite ends
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	resp, err = http.Get(cts.URL + "/v1/suites/" + again.ID + "/output")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(out, ref) {
+		t.Fatalf("resubmitted suite: %s, output identical to the local run: %v", resp.Status, bytes.Equal(out, ref))
+	}
+	if n := c.dispatches.Load() - dispatches; n != 0 {
+		t.Errorf("resubmission dispatched %d new jobs, want 0", n)
+	}
 }
 
 // TestStealDuplicatesOntoIdleWorker pins the work-stealing path: with one

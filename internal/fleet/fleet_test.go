@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"adaptnoc"
+	"adaptnoc/internal/httpkit"
 	"adaptnoc/internal/serve"
 )
 
@@ -47,7 +48,7 @@ func TestManifestParse(t *testing.T) {
 }
 
 func TestBackoffEnvelope(t *testing.T) {
-	j := newJitterSource(42)
+	j := backoffJitter{httpkit.NewJitter(42)}
 	prev := time.Duration(0)
 	for attempt := 1; attempt <= 12; attempt++ {
 		// Envelope at this attempt: base doubled attempt-1 times, capped.
@@ -70,7 +71,7 @@ func TestBackoffEnvelope(t *testing.T) {
 	}
 
 	// Same seed, same schedule: the retry cadence is reproducible.
-	a, b := newJitterSource(7), newJitterSource(7)
+	a, b := backoffJitter{httpkit.NewJitter(7)}, backoffJitter{httpkit.NewJitter(7)}
 	for i := 1; i <= 8; i++ {
 		if x, y := a.backoff(i), b.backoff(i); x != y {
 			t.Fatalf("attempt %d: seeded backoff diverged: %v vs %v", i, x, y)

@@ -10,18 +10,12 @@ import (
 )
 
 // handleMetrics renders the coordinator's counters in the Prometheus text
-// exposition format, following the serve daemon's hand-rolled conventions
+// exposition format with the internal/obs writers the serve daemon uses
 // (the repository takes no dependencies). Work-item gauges are recomputed
 // by scanning the item table — the items are the source of truth, so the
 // gauges can never drift from the scheduler's actual state.
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var b strings.Builder
-	gauge := func(name, help string, v any) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %v\n", name, help, name, name, v)
-	}
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
 
 	var pending, leased, done, failed, retried int
 	c.mu.Lock()
@@ -47,11 +41,11 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	c.mu.Unlock()
 
-	gauge("adaptnoc_fleet_items_pending", "Work items awaiting dispatch.", pending)
-	gauge("adaptnoc_fleet_items_leased", "Work items leased to a worker.", leased)
-	gauge("adaptnoc_fleet_items_done", "Work items completed.", done)
-	gauge("adaptnoc_fleet_items_failed", "Work items that failed permanently.", failed)
-	gauge("adaptnoc_fleet_items_retried", "Work items that needed at least one requeue.", retried)
+	obs.WritePromGauge(&b, "adaptnoc_fleet_items_pending", "Work items awaiting dispatch.", pending)
+	obs.WritePromGauge(&b, "adaptnoc_fleet_items_leased", "Work items leased to a worker.", leased)
+	obs.WritePromGauge(&b, "adaptnoc_fleet_items_done", "Work items completed.", done)
+	obs.WritePromGauge(&b, "adaptnoc_fleet_items_failed", "Work items that failed permanently.", failed)
+	obs.WritePromGauge(&b, "adaptnoc_fleet_items_retried", "Work items that needed at least one requeue.", retried)
 
 	healthy := 0
 	for _, wk := range workers {
@@ -59,13 +53,12 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			healthy++
 		}
 	}
-	gauge("adaptnoc_fleet_workers_registered", "Workers currently registered.", len(workers))
-	gauge("adaptnoc_fleet_workers_healthy", "Registered workers passing health checks.", healthy)
+	obs.WritePromGauge(&b, "adaptnoc_fleet_workers_registered", "Workers currently registered.", len(workers))
+	obs.WritePromGauge(&b, "adaptnoc_fleet_workers_healthy", "Registered workers passing health checks.", healthy)
 
 	// Per-worker liveness, one labeled series per worker, in stable order.
 	sort.Slice(workers, func(i, j int) bool { return workers[i].id < workers[j].id })
-	fmt.Fprintf(&b, "# HELP adaptnoc_fleet_worker_up 1 while the worker passes health checks.\n")
-	fmt.Fprintf(&b, "# TYPE adaptnoc_fleet_worker_up gauge\n")
+	obs.WritePromHeader(&b, "adaptnoc_fleet_worker_up", "1 while the worker passes health checks.", "gauge")
 	for _, wk := range workers {
 		up := 0
 		if wk.healthy(c.opts.HeartbeatTTL) {
@@ -74,13 +67,13 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&b, "adaptnoc_fleet_worker_up{worker=%q} %d\n", wk.id, up)
 	}
 
-	counter("adaptnoc_fleet_dispatches_total", "Jobs dispatched to workers.", c.dispatches.Load())
-	counter("adaptnoc_fleet_retries_total", "Requeues after a lost lease or failed dispatch.", c.requeues.Load())
-	counter("adaptnoc_fleet_steals_total", "Duplicate dispatches to idle workers.", c.steals.Load())
-	counter("adaptnoc_fleet_local_runs_total", "Items evaluated on the coordinator (no workers).", c.localRuns.Load())
-	counter("adaptnoc_fleet_handoffs_total", "Checkpoint blobs shipped to a replacement worker.", c.handoffs.Load())
-	counter("adaptnoc_fleet_delta_shadows_total", "Checkpoint shadows refreshed via delta frames instead of full blobs.", c.deltaShadows.Load())
-	counter("adaptnoc_fleet_suites_total", "Suites accepted.", c.suitesTotal.Load())
+	obs.WritePromCounter(&b, "adaptnoc_fleet_dispatches_total", "Jobs dispatched to workers.", c.dispatches.Load())
+	obs.WritePromCounter(&b, "adaptnoc_fleet_retries_total", "Requeues after a lost lease or failed dispatch.", c.requeues.Load())
+	obs.WritePromCounter(&b, "adaptnoc_fleet_steals_total", "Duplicate dispatches to idle workers.", c.steals.Load())
+	obs.WritePromCounter(&b, "adaptnoc_fleet_local_runs_total", "Items evaluated on the coordinator (no workers).", c.localRuns.Load())
+	obs.WritePromCounter(&b, "adaptnoc_fleet_handoffs_total", "Checkpoint blobs shipped to a replacement worker.", c.handoffs.Load())
+	obs.WritePromCounter(&b, "adaptnoc_fleet_delta_shadows_total", "Checkpoint shadows refreshed via delta frames instead of full blobs.", c.deltaShadows.Load())
+	obs.WritePromCounter(&b, "adaptnoc_fleet_suites_total", "Suites accepted.", c.suitesTotal.Load())
 
 	// Item latency is recorded in milliseconds; obs exports it in the
 	// Prometheus base unit (seconds).

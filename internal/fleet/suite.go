@@ -3,14 +3,13 @@ package fleet
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 
 	"adaptnoc"
 	"adaptnoc/internal/exp"
+	"adaptnoc/internal/httpkit"
 	"adaptnoc/internal/serve"
 )
 
@@ -66,13 +65,11 @@ type suiteRecord struct {
 	tables   int
 	started  int
 	finished int
-	events   []SuiteEvent
-	subs     []chan SuiteEvent
-	done     chan struct{} // closed on reaching a terminal state
+	events   httpkit.Log[SuiteEvent] // closed on reaching a terminal state
 }
 
 func newSuiteRecord(id string, m Manifest) *suiteRecord {
-	return &suiteRecord{id: id, manifest: m, state: SuiteRunning, done: make(chan struct{})}
+	return &suiteRecord{id: id, manifest: m, state: SuiteRunning}
 }
 
 func (sr *suiteRecord) info() SuiteInfo {
@@ -85,8 +82,7 @@ func (sr *suiteRecord) info() SuiteInfo {
 	}
 }
 
-// emit records a progress event and fans it out, dropping rather than
-// stalling on slow subscribers (the history replay keeps them complete).
+// emit counts a progress event and appends it to the suite's event log.
 func (sr *suiteRecord) emit(phase, key, errMsg string) {
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
@@ -99,17 +95,11 @@ func (sr *suiteRecord) emit(phase, key, errMsg string) {
 	case "item-done", "item-failed":
 		sr.finished++
 	}
-	ev := SuiteEvent{Phase: phase, Key: key, Started: sr.started, Done: sr.finished, Error: errMsg}
-	sr.events = append(sr.events, ev)
-	for _, ch := range sr.subs {
-		select {
-		case ch <- ev:
-		default:
-		}
-	}
+	sr.events.Append(SuiteEvent{Phase: phase, Key: key, Started: sr.started, Done: sr.finished, Error: errMsg})
 }
 
-// finish moves the suite to a terminal state exactly once.
+// finish moves the suite to a terminal state exactly once and closes its
+// event log.
 func (sr *suiteRecord) finish(state SuiteState, output []byte, tables int, errMsg string) {
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
@@ -120,25 +110,7 @@ func (sr *suiteRecord) finish(state SuiteState, output []byte, tables int, errMs
 	sr.output = output
 	sr.tables = tables
 	sr.errMsg = errMsg
-	for _, ch := range sr.subs {
-		close(ch)
-	}
-	sr.subs = nil
-	close(sr.done)
-}
-
-// subscribe returns the events so far plus a live channel for the rest
-// (nil when the suite already ended; closed when it does).
-func (sr *suiteRecord) subscribe() (history []SuiteEvent, live <-chan SuiteEvent) {
-	sr.mu.Lock()
-	defer sr.mu.Unlock()
-	history = append([]SuiteEvent(nil), sr.events...)
-	if sr.state != SuiteRunning {
-		return history, nil
-	}
-	ch := make(chan SuiteEvent, 256)
-	sr.subs = append(sr.subs, ch)
-	return history, ch
+	sr.events.Close()
 }
 
 // runSuite executes one suite end to end: the exact planner and
@@ -193,14 +165,13 @@ func (c *Coordinator) runSuite(sr *suiteRecord) {
 const maxManifestBytes = 1 << 20
 
 func (c *Coordinator) handleCreateSuite(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxManifestBytes))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("reading body: %v", err))
+	body, ok := httpkit.ReadBody(w, r, maxManifestBytes, "body")
+	if !ok {
 		return
 	}
 	m, err := ParseManifest(body)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		httpkit.Error(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	c.mu.Lock()
@@ -213,7 +184,7 @@ func (c *Coordinator) handleCreateSuite(w http.ResponseWriter, r *http.Request) 
 	c.logf("fleet: accepted %s (figs=%v quick=%v)", sr.id, m.Figs, m.Quick)
 	c.wg.Add(1)
 	go c.runSuite(sr)
-	writeJSON(w, http.StatusAccepted, sr.info())
+	httpkit.WriteJSON(w, http.StatusAccepted, sr.info())
 }
 
 func (c *Coordinator) lookupSuite(id string) *suiteRecord {
@@ -234,16 +205,16 @@ func (c *Coordinator) handleSuites(w http.ResponseWriter, r *http.Request) {
 	for _, sr := range records {
 		infos = append(infos, sr.info())
 	}
-	writeJSON(w, http.StatusOK, infos)
+	httpkit.WriteJSON(w, http.StatusOK, infos)
 }
 
 func (c *Coordinator) handleSuite(w http.ResponseWriter, r *http.Request) {
 	sr := c.lookupSuite(r.PathValue("id"))
 	if sr == nil {
-		httpError(w, http.StatusNotFound, "no such suite")
+		httpkit.Error(w, http.StatusNotFound, "no such suite")
 		return
 	}
-	writeJSON(w, http.StatusOK, sr.info())
+	httpkit.WriteJSON(w, http.StatusOK, sr.info())
 }
 
 // handleSuiteOutput serves a done suite's rendered tables — the bytes a
@@ -251,7 +222,7 @@ func (c *Coordinator) handleSuite(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleSuiteOutput(w http.ResponseWriter, r *http.Request) {
 	sr := c.lookupSuite(r.PathValue("id"))
 	if sr == nil {
-		httpError(w, http.StatusNotFound, "no such suite")
+		httpkit.Error(w, http.StatusNotFound, "no such suite")
 		return
 	}
 	sr.mu.Lock()
@@ -259,53 +230,23 @@ func (c *Coordinator) handleSuiteOutput(w http.ResponseWriter, r *http.Request) 
 	sr.mu.Unlock()
 	switch state {
 	case SuiteRunning:
-		httpError(w, http.StatusConflict, "suite is still running (watch /v1/suites/{id}/events)")
+		httpkit.Error(w, http.StatusConflict, "suite is still running (watch /v1/suites/{id}/events)")
 	case SuiteFailed:
-		httpError(w, http.StatusConflict, fmt.Sprintf("suite failed: %s", errMsg))
+		httpkit.Error(w, http.StatusConflict, fmt.Sprintf("suite failed: %s", errMsg))
 	default:
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.Write(output)
 	}
 }
 
+// handleSuiteEvents streams the suite's progress as SSE: one "item" frame
+// per evaluation starting or finishing, then a "done" frame with the
+// suite's final state.
 func (c *Coordinator) handleSuiteEvents(w http.ResponseWriter, r *http.Request) {
 	sr := c.lookupSuite(r.PathValue("id"))
 	if sr == nil {
-		httpError(w, http.StatusNotFound, "no such suite")
+		httpkit.Error(w, http.StatusNotFound, "no such suite")
 		return
 	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		httpError(w, http.StatusNotImplemented, "streaming unsupported")
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-
-	writeEvent := func(name string, v any) {
-		blob, _ := json.Marshal(v)
-		fmt.Fprintf(w, "event: %s\ndata: %s\n\n", name, blob)
-		flusher.Flush()
-	}
-
-	history, live := sr.subscribe()
-	for _, ev := range history {
-		writeEvent("item", ev)
-	}
-	if live != nil {
-	stream:
-		for {
-			select {
-			case ev, ok := <-live:
-				if !ok {
-					break stream // suite finished
-				}
-				writeEvent("item", ev)
-			case <-r.Context().Done():
-				return
-			}
-		}
-	}
-	writeEvent("done", sr.info())
+	httpkit.ServeSSE(w, r, &sr.events, "item", func() any { return sr.info() })
 }

@@ -87,18 +87,53 @@ func (w *worker) info(ttl time.Duration) WorkerInfo {
 	}
 }
 
+// call sends one request and reads the whole reply; only a transport or
+// read failure is an error, the status is the caller's to judge. body is
+// nil (no body), raw bytes, or a value sent as JSON.
+func call(ctx context.Context, client *http.Client, method, url string, body any) (*http.Response, []byte, error) {
+	var rd io.Reader
+	ctype := ""
+	switch b := body.(type) {
+	case nil:
+	case []byte:
+		rd, ctype = bytes.NewReader(b), "application/octet-stream"
+	default:
+		blob, err := json.Marshal(b)
+		if err != nil {
+			return nil, nil, err
+		}
+		rd, ctype = bytes.NewReader(blob), "application/json"
+	}
+	req, err := http.NewRequestWithContext(ctx, method, url, rd)
+	if err != nil {
+		return nil, nil, err
+	}
+	if ctype != "" {
+		req.Header.Set("Content-Type", ctype)
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer resp.Body.Close()
+	blob, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, nil, err
+	}
+	return resp, blob, nil
+}
+
+// call sends one request to this worker (see the package-level call).
+func (w *worker) call(method, path string, body any) (*http.Response, []byte, error) {
+	return call(context.Background(), w.client, method, w.url+path, body)
+}
+
 // probe checks the worker's /healthz. Active probing keeps statically
 // registered workers (no self-heartbeat) schedulable and notices abrupt
 // deaths between polls.
 func (w *worker) probe() bool {
-	resp, err := w.client.Get(w.url + "/healthz")
-	if err != nil {
-		w.markDead()
-		return false
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
+	resp, _, err := w.call(http.MethodGet, "/healthz", nil)
+	if err != nil || resp.StatusCode != http.StatusOK {
 		w.markDead()
 		return false
 	}
@@ -109,20 +144,11 @@ func (w *worker) probe() bool {
 // submit posts a lease-scoped job. A 429 answer is backpressure, not
 // failure: it returns the jittered Retry-After as a wait with no error.
 func (w *worker) submit(req serve.Request, lease time.Duration, resume bool) (serve.JobInfo, time.Duration, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return serve.JobInfo{}, 0, err
-	}
-	url := fmt.Sprintf("%s/v1/sims?lease=%s", w.url, lease)
+	path := fmt.Sprintf("/v1/sims?lease=%s", lease)
 	if resume {
-		url += "&resume=1"
+		path += "&resume=1"
 	}
-	resp, err := w.client.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return serve.JobInfo{}, 0, err
-	}
-	defer resp.Body.Close()
-	blob, err := io.ReadAll(resp.Body)
+	resp, blob, err := w.call(http.MethodPost, path, req)
 	if err != nil {
 		return serve.JobInfo{}, 0, err
 	}
@@ -130,10 +156,8 @@ func (w *worker) submit(req serve.Request, lease time.Duration, resume bool) (se
 	switch resp.StatusCode {
 	case http.StatusOK, http.StatusAccepted:
 		var info serve.JobInfo
-		if err := json.Unmarshal(blob, &info); err != nil {
-			return serve.JobInfo{}, 0, err
-		}
-		return info, 0, nil
+		err := json.Unmarshal(blob, &info)
+		return info, 0, err
 	case http.StatusTooManyRequests:
 		secs, err := strconv.Atoi(resp.Header.Get("Retry-After"))
 		if err != nil || secs <= 0 {
@@ -146,12 +170,7 @@ func (w *worker) submit(req serve.Request, lease time.Duration, resume bool) (se
 }
 
 func (w *worker) getJob(id string) (serve.JobInfo, error) {
-	resp, err := w.client.Get(w.url + "/v1/jobs/" + id)
-	if err != nil {
-		return serve.JobInfo{}, err
-	}
-	defer resp.Body.Close()
-	blob, err := io.ReadAll(resp.Body)
+	resp, blob, err := w.call(http.MethodGet, "/v1/jobs/"+id, nil)
 	if err != nil {
 		return serve.JobInfo{}, err
 	}
@@ -160,23 +179,17 @@ func (w *worker) getJob(id string) (serve.JobInfo, error) {
 		return serve.JobInfo{}, fmt.Errorf("fleet: %s: job %s: %s", w.id, id, resp.Status)
 	}
 	var info serve.JobInfo
-	if err := json.Unmarshal(blob, &info); err != nil {
-		return serve.JobInfo{}, err
-	}
-	return info, nil
+	err = json.Unmarshal(blob, &info)
+	return info, err
 }
 
 // renewLease pushes the job's lease out by one interval. Best-effort: a
 // 409 means the lease already lapsed, which the next poll observes as a
 // canceled job.
 func (w *worker) renewLease(id string) {
-	resp, err := w.client.Post(w.url+"/v1/jobs/"+id+"/lease", "application/json", nil)
-	if err != nil {
-		return
+	if _, _, err := w.call(http.MethodPost, "/v1/jobs/"+id+"/lease", nil); err == nil {
+		w.noteAlive()
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	w.noteAlive()
 }
 
 // getCheckpoint fetches the job's latest state for shadowing. When
@@ -185,16 +198,11 @@ func (w *worker) renewLease(id string) {
 // body a snap frame log) instead of the full blob (format "full"). tipHex
 // is the fetched state's body hash — the caller's base token next time.
 func (w *worker) getCheckpoint(id, baseHex string) (blob []byte, cycle int64, format, tipHex string, err error) {
-	url := w.url + "/v1/jobs/" + id + "/checkpoint"
+	path := "/v1/jobs/" + id + "/checkpoint"
 	if baseHex != "" {
-		url += "?base=" + baseHex
+		path += "?base=" + baseHex
 	}
-	resp, err := w.client.Get(url)
-	if err != nil {
-		return nil, 0, "", "", err
-	}
-	defer resp.Body.Close()
-	blob, err = io.ReadAll(resp.Body)
+	resp, blob, err := w.call(http.MethodGet, path, nil)
 	if err != nil {
 		return nil, 0, "", "", err
 	}
@@ -203,26 +211,16 @@ func (w *worker) getCheckpoint(id, baseHex string) (blob []byte, cycle int64, fo
 		return nil, 0, "", "", fmt.Errorf("fleet: %s: checkpoint of %s: %s", w.id, id, resp.Status)
 	}
 	cycle, _ = strconv.ParseInt(resp.Header.Get("X-Checkpoint-Cycle"), 10, 64)
-	format = resp.Header.Get("X-Checkpoint-Format")
-	if format == "" {
-		format = "full" // an older daemon that predates negotiation
-	}
-	return blob, cycle, format, resp.Header.Get("X-Checkpoint-Body-Hash"), nil
+	return blob, cycle, resp.Header.Get("X-Checkpoint-Format"), resp.Header.Get("X-Checkpoint-Body-Hash"), nil
 }
 
 // putCheckpoint deposits a handed-off blob under a request key so the next
 // ?resume=1 submission restores it.
 func (w *worker) putCheckpoint(key string, blob []byte) error {
-	req, err := http.NewRequest(http.MethodPut, w.url+"/v1/checkpoints/"+key, bytes.NewReader(blob))
+	resp, _, err := w.call(http.MethodPut, "/v1/checkpoints/"+key, blob)
 	if err != nil {
 		return err
 	}
-	resp, err := w.client.Do(req)
-	if err != nil {
-		return err
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
 	w.noteAlive()
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("fleet: %s: checkpoint deposit: %s", w.id, resp.Status)
@@ -232,16 +230,7 @@ func (w *worker) putCheckpoint(key string, blob []byte) error {
 
 // cancelJob DELETEs a job, best-effort (losing side of a steal, teardown).
 func (w *worker) cancelJob(id string) {
-	req, err := http.NewRequest(http.MethodDelete, w.url+"/v1/jobs/"+id, nil)
-	if err != nil {
-		return
-	}
-	resp, err := w.client.Do(req)
-	if err != nil {
-		return
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
+	w.call(http.MethodDelete, "/v1/jobs/"+id, nil)
 }
 
 // Enroll registers a serve daemon with a coordinator and heartbeats until
@@ -254,27 +243,16 @@ func Enroll(ctx context.Context, coordinatorURL, selfURL string, interval time.D
 	}
 	client := &http.Client{Timeout: 10 * time.Second}
 	register := func() (string, error) {
-		body, _ := json.Marshal(map[string]string{"url": selfURL})
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-			coordinatorURL+"/v1/workers", bytes.NewReader(body))
+		resp, blob, err := call(ctx, client, http.MethodPost, coordinatorURL+"/v1/workers", map[string]string{"url": selfURL})
 		if err != nil {
 			return "", err
 		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := client.Do(req)
-		if err != nil {
-			return "", err
-		}
-		defer resp.Body.Close()
-		blob, _ := io.ReadAll(resp.Body)
 		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusCreated {
 			return "", fmt.Errorf("fleet: enroll: %s: %s", resp.Status, blob)
 		}
 		var info WorkerInfo
-		if err := json.Unmarshal(blob, &info); err != nil {
-			return "", err
-		}
-		return info.ID, nil
+		err = json.Unmarshal(blob, &info)
+		return info.ID, err
 	}
 
 	id := ""
@@ -286,17 +264,9 @@ func Enroll(ctx context.Context, coordinatorURL, selfURL string, interval time.D
 				id = got
 			}
 		} else {
-			req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-				coordinatorURL+"/v1/workers/"+id+"/heartbeat", nil)
-			if err == nil {
-				resp, err := client.Do(req)
-				if err == nil {
-					io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
-					if resp.StatusCode == http.StatusNotFound {
-						id = "" // coordinator forgot us; re-register next tick
-					}
-				}
+			resp, _, err := call(ctx, client, http.MethodPost, coordinatorURL+"/v1/workers/"+id+"/heartbeat", nil)
+			if err == nil && resp.StatusCode == http.StatusNotFound {
+				id = "" // coordinator forgot us; re-register next tick
 			}
 		}
 		select {

@@ -1,11 +1,9 @@
 package serve
 
 import (
-	"container/list"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 )
 
@@ -21,19 +19,10 @@ import (
 // fall back to reading the directory — a restarted daemon keeps its
 // history.
 type Cache struct {
-	mu    sync.Mutex
-	ll    *list.List // front = most recently used
-	items map[string]*list.Element
-	size  int64 // sum of value lengths
-	limit int64
-	dir   string
+	mem *lru
+	dir string
 
 	hits, misses, diskHits atomic.Int64
-}
-
-type cacheEntry struct {
-	key string
-	val []byte
 }
 
 // NewCache returns a cache bounded to limit bytes of values (<= 0 selects
@@ -42,23 +31,17 @@ func NewCache(limit int64, dir string) *Cache {
 	if limit <= 0 {
 		limit = 64 << 20
 	}
-	return &Cache{ll: list.New(), items: make(map[string]*list.Element), limit: limit, dir: dir}
+	return &Cache{mem: newLRU(limit, nil), dir: dir}
 }
 
 // Get returns the cached bytes for key. Callers must not modify the
 // returned slice. A memory miss consults the persistence directory before
 // giving up.
 func (c *Cache) Get(key string) ([]byte, bool) {
-	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		val := el.Value.(*cacheEntry).val
-		c.mu.Unlock()
+	if val, ok := c.mem.get(key); ok {
 		c.hits.Add(1)
 		return val, true
 	}
-	c.mu.Unlock()
-
 	if c.dir != "" {
 		if val, err := os.ReadFile(c.path(key)); err == nil {
 			c.diskHits.Add(1)
@@ -78,25 +61,7 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 func (c *Cache) Put(key string, val []byte) { c.put(key, val, true) }
 
 func (c *Cache) put(key string, val []byte, persist bool) {
-	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		ent := el.Value.(*cacheEntry)
-		c.size += int64(len(val)) - int64(len(ent.val))
-		ent.val = val
-	} else {
-		c.items[key] = c.ll.PushFront(&cacheEntry{key: key, val: val})
-		c.size += int64(len(val))
-	}
-	for c.size > c.limit && c.ll.Len() > 1 {
-		el := c.ll.Back()
-		ent := el.Value.(*cacheEntry)
-		c.ll.Remove(el)
-		delete(c.items, ent.key)
-		c.size -= int64(len(ent.val))
-	}
-	c.mu.Unlock()
-
+	c.mem.put(key, val, int64(len(val)))
 	if persist && c.dir != "" {
 		c.writeThrough(key, val) // disk keeps evicted entries; only memory is bounded
 	}
@@ -141,13 +106,11 @@ type CacheStats struct {
 
 // Stats snapshots the counters.
 func (c *Cache) Stats() CacheStats {
-	c.mu.Lock()
-	entries, bytes := c.ll.Len(), c.size
-	c.mu.Unlock()
+	entries, bytes := c.mem.stats()
 	return CacheStats{
 		Entries: entries, Bytes: bytes,
 		Hits: c.hits.Load(), Misses: c.misses.Load(), DiskHits: c.diskHits.Load(),
-		BudgetBytes: c.limit, PersistenceDir: c.dir,
+		BudgetBytes: c.mem.limit, PersistenceDir: c.dir,
 	}
 }
 

@@ -1,80 +1,18 @@
 package serve
 
 import (
-	"container/list"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// handoffBytes bounds the in-memory handoff store. Gzipped checkpoint
-// blobs run tens of kilobytes, so the default holds hundreds of in-flight
-// handoffs; FIFO eviction keeps a misbehaving client from pinning memory.
+// handoffBytes bounds the in-memory handoff store (Server.handoff), so a
+// misbehaving client cannot pin memory. Gzipped checkpoint blobs run tens
+// of kilobytes, so the budget holds hundreds of in-flight handoffs.
 const handoffBytes = 64 << 20
-
-// handoffStore holds checkpoint blobs a coordinator ships between workers:
-// PUT /v1/checkpoints/{key} deposits the blob a dead worker left behind,
-// and the next ?resume=1 submission for the same key withdraws it and
-// restores instead of recomputing. The store is a pure optimization —
-// determinism means a missing or evicted blob only costs the fast-forward.
-type handoffStore struct {
-	mu    sync.Mutex
-	size  int64
-	blobs map[string][]byte
-	order []string // insertion order, for FIFO eviction
-}
-
-func newHandoffStore() *handoffStore {
-	return &handoffStore{blobs: make(map[string][]byte)}
-}
-
-// put deposits a blob under a request key, replacing any previous deposit
-// and evicting the oldest entries once the byte budget is exceeded.
-func (h *handoffStore) put(key string, blob []byte) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if old, ok := h.blobs[key]; ok {
-		h.size -= int64(len(old))
-		for i, k := range h.order {
-			if k == key {
-				h.order = append(h.order[:i], h.order[i+1:]...)
-				break
-			}
-		}
-	}
-	h.blobs[key] = blob
-	h.order = append(h.order, key)
-	h.size += int64(len(blob))
-	for h.size > handoffBytes && len(h.order) > 1 {
-		oldest := h.order[0]
-		h.order = h.order[1:]
-		h.size -= int64(len(h.blobs[oldest]))
-		delete(h.blobs, oldest)
-	}
-}
-
-// take withdraws and removes the blob for a key, or returns nil.
-func (h *handoffStore) take(key string) []byte {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	blob, ok := h.blobs[key]
-	if !ok {
-		return nil
-	}
-	delete(h.blobs, key)
-	h.size -= int64(len(blob))
-	for i, k := range h.order {
-		if k == key {
-			h.order = append(h.order[:i], h.order[i+1:]...)
-			break
-		}
-	}
-	return blob
-}
 
 // ckptStore bounds the on-disk checkpoint directory the way Cache bounds
 // the result cache: an LRU over <dir>/<key>.ckpt files with a byte budget,
@@ -90,19 +28,9 @@ func (h *handoffStore) take(key string) []byte {
 // without a CheckpointDir.
 type ckptStore struct {
 	dir   string
-	limit int64
-
-	mu    sync.Mutex
-	ll    *list.List // front = most recently used
-	items map[string]*list.Element
-	size  int64
+	index *lru // sizes only, charged against the directory budget
 
 	evictions atomic.Int64
-}
-
-type ckptEntry struct {
-	key  string
-	size int64
 }
 
 // defaultCkptBytes is the checkpoint directory budget when Options leaves
@@ -113,7 +41,11 @@ func newCkptStore(dir string, limit int64) *ckptStore {
 	if limit <= 0 {
 		limit = defaultCkptBytes
 	}
-	st := &ckptStore{dir: dir, limit: limit, ll: list.New(), items: make(map[string]*list.Element)}
+	st := &ckptStore{dir: dir}
+	st.index = newLRU(limit, func(key string) {
+		os.Remove(st.path(key))
+		st.evictions.Add(1)
+	})
 	os.MkdirAll(dir, 0o755)
 	st.sweep()
 	return st
@@ -123,18 +55,19 @@ func (st *ckptStore) path(key string) string { return filepath.Join(st.dir, key+
 
 // sweep indexes the checkpoints a previous daemon left in the directory,
 // oldest modification first so the LRU order approximates their real use,
-// then enforces the budget. Stale temp files from a crashed write and
-// orphaned delta logs are removed outright.
+// enforcing the budget as it goes. Stale temp files from a crashed write
+// and orphaned delta logs are removed outright.
 func (st *ckptStore) sweep() {
 	ents, err := os.ReadDir(st.dir)
 	if err != nil {
 		return
 	}
-	var recs []struct {
+	type rec struct {
 		key  string
 		size int64
 		mod  time.Time
 	}
+	var recs []rec
 	for _, e := range ents {
 		name := e.Name()
 		if e.IsDir() {
@@ -151,20 +84,12 @@ func (st *ckptStore) sweep() {
 		if err != nil {
 			continue
 		}
-		recs = append(recs, struct {
-			key  string
-			size int64
-			mod  time.Time
-		}{strings.TrimSuffix(name, ".ckpt"), fi.Size(), fi.ModTime()})
+		recs = append(recs, rec{strings.TrimSuffix(name, ".ckpt"), fi.Size(), fi.ModTime()})
 	}
 	sort.Slice(recs, func(a, b int) bool { return recs[a].mod.Before(recs[b].mod) })
-	st.mu.Lock()
 	for _, r := range recs {
-		st.items[r.key] = st.ll.PushFront(&ckptEntry{key: r.key, size: r.size})
-		st.size += r.size
+		st.index.put(r.key, nil, r.size)
 	}
-	st.evictLocked()
-	st.mu.Unlock()
 }
 
 // note records that the checkpoint for key was just (re)written, sizing it
@@ -173,35 +98,17 @@ func (st *ckptStore) note(key string) {
 	if st == nil {
 		return
 	}
-	fi, err := os.Stat(st.path(key))
-	if err != nil {
-		return
+	if fi, err := os.Stat(st.path(key)); err == nil {
+		st.index.put(key, nil, fi.Size())
 	}
-	st.mu.Lock()
-	if el, ok := st.items[key]; ok {
-		st.ll.MoveToFront(el)
-		ent := el.Value.(*ckptEntry)
-		st.size += fi.Size() - ent.size
-		ent.size = fi.Size()
-	} else {
-		st.items[key] = st.ll.PushFront(&ckptEntry{key: key, size: fi.Size()})
-		st.size += fi.Size()
-	}
-	st.evictLocked()
-	st.mu.Unlock()
 }
 
 // touch marks the checkpoint for key as recently used (a resume restored
 // it, or a handoff fetch read it).
 func (st *ckptStore) touch(key string) {
-	if st == nil {
-		return
+	if st != nil {
+		st.index.get(key)
 	}
-	st.mu.Lock()
-	if el, ok := st.items[key]; ok {
-		st.ll.MoveToFront(el)
-	}
-	st.mu.Unlock()
 }
 
 // remove deletes the checkpoint for key from disk and the index (the job
@@ -210,28 +117,8 @@ func (st *ckptStore) remove(key string) {
 	if st == nil {
 		return
 	}
-	st.mu.Lock()
-	if el, ok := st.items[key]; ok {
-		st.size -= el.Value.(*ckptEntry).size
-		st.ll.Remove(el)
-		delete(st.items, key)
-	}
-	st.mu.Unlock()
+	st.index.take(key)
 	os.Remove(st.path(key))
-}
-
-// evictLocked deletes least-recently-used checkpoints until the budget
-// holds, always keeping the newest entry. Callers hold st.mu.
-func (st *ckptStore) evictLocked() {
-	for st.size > st.limit && st.ll.Len() > 1 {
-		el := st.ll.Back()
-		ent := el.Value.(*ckptEntry)
-		st.ll.Remove(el)
-		delete(st.items, ent.key)
-		st.size -= ent.size
-		os.Remove(st.path(ent.key))
-		st.evictions.Add(1)
-	}
 }
 
 // ckptStats reports the store's entry count, tracked bytes, and lifetime
@@ -240,8 +127,6 @@ func (st *ckptStore) stats() (entries int, bytes int64, evictions int64) {
 	if st == nil {
 		return 0, 0, 0
 	}
-	st.mu.Lock()
-	entries, bytes = st.ll.Len(), st.size
-	st.mu.Unlock()
+	entries, bytes = st.index.stats()
 	return entries, bytes, st.evictions.Load()
 }

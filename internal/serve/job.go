@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"adaptnoc"
+	"adaptnoc/internal/httpkit"
 	"adaptnoc/internal/snap"
 )
 
@@ -94,9 +95,8 @@ type job struct {
 	snapTip       [32]byte
 	snapshotCycle int64
 	leaseTimer    *time.Timer // cancels the job when the lease lapses
-	events        []Event
-	subs          []chan Event
-	done          chan struct{} // closed on reaching a terminal state
+
+	events httpkit.Log[Event] // progress; closed on reaching a terminal state
 }
 
 func newJob(id, key string, req Request) *job {
@@ -105,7 +105,6 @@ func newJob(id, key string, req Request) *job {
 		id: id, key: key, req: req,
 		ctx: ctx, cancel: cancel,
 		state: StateQueued,
-		done:  make(chan struct{}),
 	}
 }
 
@@ -216,24 +215,9 @@ func (j *job) setRunning() bool {
 	return true
 }
 
-// emit records a progress event and fans it out to subscribers. A slow
-// subscriber's full channel drops the event rather than stalling the
-// worker; the history replay on subscribe keeps late listeners complete.
-func (j *job) emit(ev Event) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.events = append(j.events, ev)
-	for _, ch := range j.subs {
-		select {
-		case ch <- ev:
-		default:
-		}
-	}
-}
-
-// finish moves the job to a terminal state exactly once, closes every
-// subscriber channel, and reports whether this call was the one that did
-// it (so counters increment exactly once even when cancel races a worker).
+// finish moves the job to a terminal state exactly once, closes its event
+// log, and reports whether this call was the one that did it (so counters
+// increment exactly once even when cancel races a worker).
 func (j *job) finish(state State, seq int64, result []byte, errMsg string) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -248,25 +232,6 @@ func (j *job) finish(state State, seq int64, result []byte, errMsg string) bool 
 		j.leaseTimer.Stop()
 		j.leaseTimer = nil
 	}
-	for _, ch := range j.subs {
-		close(ch)
-	}
-	j.subs = nil
-	close(j.done)
+	j.events.Close()
 	return true
-}
-
-// subscribe returns the events recorded so far plus a live channel for the
-// rest. The channel is nil when the job is already terminal — the history
-// is then complete. The channel is closed when the job finishes.
-func (j *job) subscribe() (history []Event, live <-chan Event) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	history = append([]Event(nil), j.events...)
-	if j.state.Terminal() {
-		return history, nil
-	}
-	ch := make(chan Event, 256)
-	j.subs = append(j.subs, ch)
-	return history, ch
 }

@@ -23,7 +23,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -33,6 +32,7 @@ import (
 	"time"
 
 	"adaptnoc"
+	"adaptnoc/internal/httpkit"
 	"adaptnoc/internal/runner"
 	"adaptnoc/internal/sim"
 	"adaptnoc/internal/snap"
@@ -70,13 +70,19 @@ type Options struct {
 // Server is the simulation daemon. Create with New, mount Handler on an
 // http.Server, and call Shutdown to drain.
 type Server struct {
-	opts    Options
-	cache   *Cache
-	handoff *handoffStore
+	opts  Options
+	cache *Cache
+	// handoff holds checkpoint blobs a coordinator ships between workers:
+	// PUT /v1/checkpoints/{key} deposits the blob a dead worker left
+	// behind, and the next ?resume=1 submission for the same key takes it
+	// and restores instead of recomputing. Deposits are only put and taken,
+	// so eviction drops the oldest. The store is a pure optimization —
+	// determinism means a missing or evicted blob only costs the
+	// fast-forward.
+	handoff *lru
 	ckpts   *ckptStore // nil without a CheckpointDir
 	mux     *http.ServeMux
-
-	jitter atomic.Uint64 // splitmix64 state for Retry-After jitter
+	jitter  *httpkit.Jitter // Retry-After spread
 
 	// admitMu serializes admission against shutdown: queue sends happen
 	// under it, so closing the queue (also under it) can never race a send.
@@ -115,16 +121,12 @@ func New(opts Options) *Server {
 	s := &Server{
 		opts:    opts,
 		cache:   NewCache(opts.CacheBytes, opts.CacheDir),
-		handoff: newHandoffStore(),
+		handoff: newLRU(handoffBytes, nil),
+		jitter:  httpkit.NewJitter(opts.JitterSeed),
 		queue:   make(chan *job, opts.QueueDepth),
 		jobs:    make(map[string]*job),
 		latency: sim.NewHistogram(latencyBucketMS, latencyBuckets),
 	}
-	seed := opts.JitterSeed
-	if seed == 0 {
-		seed = uint64(time.Now().UnixNano())
-	}
-	s.jitter.Store(seed)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -274,7 +276,7 @@ func (s *Server) execute(ctx context.Context, j *job) ([]byte, error) {
 		// Handed-off blobs (shipped from another node's snapshot via
 		// PUT /v1/checkpoints/{key}) win over this node's own disk
 		// checkpoint: the handoff is why the coordinator asked to resume.
-		if blob := s.handoff.take(j.key); blob != nil {
+		if blob, ok := s.handoff.take(j.key); ok {
 			if restored, err := adaptnoc.RestoreSim(blob); err == nil {
 				simu = restored
 			}
@@ -299,7 +301,7 @@ func (s *Server) execute(ctx context.Context, j *job) ([]byte, error) {
 	epoch := adaptnoc.Cycle(j.req.Config.EpochCycles)
 	emit := func() {
 		ts := simu.TickStats()
-		j.emit(Event{
+		j.events.Append(Event{
 			Cycle:           int64(simu.Kernel.Now()),
 			RouterSkipRate:  ts.RouterSkipRate(),
 			ChannelSkipRate: ts.ChannelSkipRate(),
@@ -361,9 +363,8 @@ func (s *Server) execute(ctx context.Context, j *job) ([]byte, error) {
 const maxRequestBytes = 1 << 20
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("reading body: %v", err))
+	body, ok := httpkit.ReadBody(w, r, maxRequestBytes, "body")
+	if !ok {
 		return
 	}
 	req, err := ParseRequest(body)
@@ -383,7 +384,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if lv := r.URL.Query().Get("lease"); lv != "" {
 		d, err := time.ParseDuration(lv)
 		if err != nil || d <= 0 {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("lease %q: want a positive Go duration (e.g. 30s)", lv))
+			httpkit.Error(w, http.StatusBadRequest, fmt.Sprintf("lease %q: want a positive Go duration (e.g. 30s)", lv))
 			return
 		}
 		j.lease = d
@@ -406,14 +407,14 @@ func (s *Server) admit(w http.ResponseWriter, j *job) {
 		j.state = StateRunning // finish() requires a non-terminal state
 		s.finishJob(j, StateDone, blob, "")
 		s.addJob(j)
-		writeJSON(w, http.StatusOK, j.info())
+		httpkit.WriteJSON(w, http.StatusOK, j.info())
 		return
 	}
 
 	s.admitMu.Lock()
 	if s.draining {
 		s.admitMu.Unlock()
-		httpError(w, http.StatusServiceUnavailable, "draining")
+		httpkit.Error(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
 	select {
@@ -424,26 +425,13 @@ func (s *Server) admit(w http.ResponseWriter, j *job) {
 		// Jittered Retry-After: a fixed value would synchronize every
 		// backed-off client (a coordinator fleet most of all) into retry
 		// storms that slam the queue in lockstep.
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", s.retryAfterSeconds()))
-		httpError(w, http.StatusTooManyRequests, "job queue full")
+		w.Header().Set("Retry-After", fmt.Sprintf("%d", 1+s.jitter.Below(5))) // uniform 1-5 s
+		httpkit.Error(w, http.StatusTooManyRequests, "job queue full")
 		return
 	}
 	s.addJob(j)
 	j.armLease()
-	writeJSON(w, http.StatusAccepted, j.info())
-}
-
-// retryAfterSeconds draws a uniform 1-5 second Retry-After from the
-// server's splitmix64 jitter stream (lock-free; the atomic add is the
-// generator's state step).
-func (s *Server) retryAfterSeconds() int64 {
-	x := s.jitter.Add(0x9e3779b97f4a7c15)
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return 1 + int64(x%5)
+	httpkit.WriteJSON(w, http.StatusAccepted, j.info())
 }
 
 // handleResume admits a new job for a canceled job's request. When the
@@ -453,14 +441,14 @@ func (s *Server) retryAfterSeconds() int64 {
 func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 	prev := s.lookup(r.PathValue("id"))
 	if prev == nil {
-		httpError(w, http.StatusNotFound, "no such job")
+		httpkit.Error(w, http.StatusNotFound, "no such job")
 		return
 	}
 	prev.mu.Lock()
 	state := prev.state
 	prev.mu.Unlock()
 	if state != StateCanceled {
-		httpError(w, http.StatusConflict, fmt.Sprintf("job is %s; only canceled jobs can be resumed", state))
+		httpkit.Error(w, http.StatusConflict, fmt.Sprintf("job is %s; only canceled jobs can be resumed", state))
 		return
 	}
 	id := fmt.Sprintf("job-%d", s.nextID.Add(1))
@@ -475,14 +463,14 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	j := s.lookup(r.PathValue("id"))
 	if j == nil {
-		httpError(w, http.StatusNotFound, "no such job")
+		httpkit.Error(w, http.StatusNotFound, "no such job")
 		return
 	}
 	if !j.renewLease() {
-		httpError(w, http.StatusConflict, "job has no active lease (submit with ?lease=<duration> and renew before it lapses)")
+		httpkit.Error(w, http.StatusConflict, "job has no active lease (submit with ?lease=<duration> and renew before it lapses)")
 		return
 	}
-	writeJSON(w, http.StatusOK, j.info())
+	httpkit.WriteJSON(w, http.StatusOK, j.info())
 }
 
 // handleCheckpoint serves the job's latest checkpoint for handoff: the
@@ -498,7 +486,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	j := s.lookup(r.PathValue("id"))
 	if j == nil {
-		httpError(w, http.StatusNotFound, "no such job")
+		httpkit.Error(w, http.StatusNotFound, "no such job")
 		return
 	}
 	base, frames, tip, cycle := j.snapshotChain()
@@ -510,7 +498,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		writeJSON(w, http.StatusNotFound, map[string]string{
+		httpkit.WriteJSON(w, http.StatusNotFound, map[string]string{
 			"error": "no checkpoint for this job",
 			"hint":  "lease-scoped jobs (?lease=<duration>) snapshot every progress slice; canceled jobs checkpoint when the daemon runs with -checkpointdir",
 		})
@@ -534,7 +522,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// The producer verifies every frame's lineage before appending, so
 		// this is unreachable short of memory corruption.
-		httpError(w, http.StatusInternalServerError, fmt.Sprintf("assembling checkpoint: %v", err))
+		httpkit.Error(w, http.StatusInternalServerError, fmt.Sprintf("assembling checkpoint: %v", err))
 		return
 	}
 	writeFullCheckpoint(w, blob, cycle)
@@ -580,24 +568,23 @@ const maxCheckpointBytes = 32 << 20
 // worker's half-finished job to this node.
 func (s *Server) handlePutCheckpoint(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	blob, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxCheckpointBytes))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("reading checkpoint: %v", err))
+	blob, ok := httpkit.ReadBody(w, r, maxCheckpointBytes, "checkpoint")
+	if !ok {
 		return
 	}
 	if len(blob) == 0 {
-		httpError(w, http.StatusBadRequest, "empty checkpoint blob")
+		httpkit.Error(w, http.StatusBadRequest, "empty checkpoint blob")
 		return
 	}
 	// Decode now, not at resume time: a corrupt blob answers 400 to the
 	// depositor instead of silently costing the replacement run its
 	// fast-forward.
 	if _, err := adaptnoc.RestoreSim(blob); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("invalid checkpoint: %v", err))
+		httpkit.Error(w, http.StatusBadRequest, fmt.Sprintf("invalid checkpoint: %v", err))
 		return
 	}
-	s.handoff.put(key, blob)
-	writeJSON(w, http.StatusOK, map[string]any{"key": key, "bytes": len(blob)})
+	s.handoff.put(key, blob, int64(len(blob)))
+	httpkit.WriteJSON(w, http.StatusOK, map[string]any{"key": key, "bytes": len(blob)})
 }
 
 func (s *Server) addJob(j *job) {
@@ -615,10 +602,10 @@ func (s *Server) lookup(id string) *job {
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	j := s.lookup(r.PathValue("id"))
 	if j == nil {
-		httpError(w, http.StatusNotFound, "no such job")
+		httpkit.Error(w, http.StatusNotFound, "no such job")
 		return
 	}
-	writeJSON(w, http.StatusOK, j.info())
+	httpkit.WriteJSON(w, http.StatusOK, j.info())
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -631,13 +618,13 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	}
 	s.jobsMu.Unlock()
 	sort.Slice(infos, func(a, b int) bool { return infos[a].ID < infos[b].ID })
-	writeJSON(w, http.StatusOK, infos)
+	httpkit.WriteJSON(w, http.StatusOK, infos)
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	j := s.lookup(r.PathValue("id"))
 	if j == nil {
-		httpError(w, http.StatusNotFound, "no such job")
+		httpkit.Error(w, http.StatusNotFound, "no such job")
 		return
 	}
 	j.cancel()
@@ -649,51 +636,22 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	if queued {
 		s.finishJob(j, StateCanceled, nil, "canceled while queued")
 	}
-	writeJSON(w, http.StatusOK, j.info())
+	httpkit.WriteJSON(w, http.StatusOK, j.info())
 }
 
+// handleEvents streams the job's progress as SSE: one "epoch" frame per
+// control-epoch slice, then a "done" frame with the job's final state.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j := s.lookup(r.PathValue("id"))
 	if j == nil {
-		httpError(w, http.StatusNotFound, "no such job")
+		httpkit.Error(w, http.StatusNotFound, "no such job")
 		return
 	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		httpError(w, http.StatusNotImplemented, "streaming unsupported")
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-
-	writeEvent := func(name string, v any) {
-		blob, _ := json.Marshal(v)
-		fmt.Fprintf(w, "event: %s\ndata: %s\n\n", name, blob)
-		flusher.Flush()
-	}
-
-	history, live := j.subscribe()
-	for _, ev := range history {
-		writeEvent("epoch", ev)
-	}
-	if live != nil {
-	stream:
-		for {
-			select {
-			case ev, ok := <-live:
-				if !ok {
-					break stream // job finished
-				}
-				writeEvent("epoch", ev)
-			case <-r.Context().Done():
-				return
-			}
-		}
-	}
-	info := j.info()
-	info.Results = nil // the results document is fetched, not streamed
-	writeEvent("done", info)
+	httpkit.ServeSSE(w, r, &j.events, "epoch", func() any {
+		info := j.info()
+		info.Results = nil // the results document is fetched, not streamed
+		return info
+	})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -701,25 +659,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	draining := s.draining
 	s.admitMu.Unlock()
 	if draining {
-		httpError(w, http.StatusServiceUnavailable, "draining")
+		httpkit.Error(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "ok")
-}
-
-// --- small helpers ---
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func httpError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
 }
 
 // validationError writes a 400 whose body names the offending field by its
@@ -733,12 +677,12 @@ func httpError(w http.ResponseWriter, status int, msg string) {
 func validationError(w http.ResponseWriter, err error) {
 	var fe *adaptnoc.FieldError
 	if !errors.As(err, &fe) {
-		httpError(w, http.StatusBadRequest, err.Error())
+		httpkit.Error(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	body := map[string]string{"error": err.Error(), "field": fe.Field}
 	if fe.Hint != "" {
 		body["hint"] = fe.Hint
 	}
-	writeJSON(w, http.StatusBadRequest, body)
+	httpkit.WriteJSON(w, http.StatusBadRequest, body)
 }

@@ -241,6 +241,33 @@ func TestCacheHitByteIdentical(t *testing.T) {
 		t.Errorf("different seed served from cache")
 	}
 	cancelJob(t, base, third.ID)
+
+	// The paper's design on its mixed workload (reconfiguring subNoCs, the
+	// DQN controller, every layer's state in the Results document) caches
+	// byte-identically too.
+	adapt := serve.Request{
+		Config: adaptnoc.Config{Design: adaptnoc.DesignAdaptNoC, Apps: adaptnoc.DefaultMixed(0), Seed: 2021},
+		Cycles: 20000,
+	}
+	info, _ := submit(t, base, adapt)
+	computed := waitTerminal(t, base, info.ID, 2*time.Minute)
+	if computed.State != serve.StateDone {
+		t.Fatalf("adapt-noc job ended %s: %s", computed.State, computed.Error)
+	}
+	res, err := adaptnoc.ParseResults(computed.Results)
+	if err != nil {
+		t.Fatalf("adapt-noc results do not parse: %v", err)
+	}
+	if res.Cycles != adapt.Cycles {
+		t.Errorf("adapt-noc job ran %d cycles, want %d", res.Cycles, adapt.Cycles)
+	}
+	again, resp := submit(t, base, adapt)
+	if resp.StatusCode != http.StatusOK || again.Cache != "hit" || again.State != serve.StateDone {
+		t.Fatalf("adapt-noc resubmission: %s cache=%s state=%s", resp.Status, again.Cache, again.State)
+	}
+	if !bytes.Equal(again.Results, computed.Results) {
+		t.Error("cached adapt-noc results are not byte-identical to the computed results")
+	}
 }
 
 func TestQueueFullBackpressure(t *testing.T) {
