@@ -216,6 +216,7 @@ func BenchmarkMeshCycle(b *testing.B) {
 		b.Fatal(err)
 	}
 	s.Run(5000) // warm into steady state
+	b.ReportAllocs()
 	b.ResetTimer()
 	s.Run(adaptnoc.Cycle(b.N))
 }
@@ -236,6 +237,7 @@ func BenchmarkNetworkTickIdle(b *testing.B) {
 		b.Fatal(err)
 	}
 	s.Run(5000) // warm past startup transients
+	b.ReportAllocs()
 	b.ResetTimer()
 	s.Run(adaptnoc.Cycle(b.N))
 	b.StopTimer()

@@ -10,6 +10,7 @@ package adaptnoc_test
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -393,6 +394,82 @@ func TestRestoreSurvivesBodyMutations(t *testing.T) {
 				t.Errorf("stray byte after the last section: error %v, want prefix %q", err, want)
 			}
 		})
+	}
+}
+
+// TestRestoreRejectsHostilePayloadKinds rewrites one packet's payload
+// record inside the net section of a real checkpoint body. A kind outside
+// the four the system model defines — including 256, which a decoder that
+// narrowed to a byte first would read as "no payload" — and a transaction
+// ID the machine section never restored must fail the restore with an
+// error naming the section.
+func TestRestoreRejectsHostilePayloadKinds(t *testing.T) {
+	s, err := adaptnoc.NewSim(chkConfig(adaptnoc.DesignBaseline))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Run(2000)
+	// Tag one in-flight packet with a trace-node payload (kind 3) whose
+	// reference word is a sentinel, so its record can be found in the body.
+	const traceKind, sentinel = 3, 0x5eedc0de5eedc0de
+	tagged := false
+	s.Net.ForEachInFlightFlit(func(f *noc.Flit) {
+		if !tagged {
+			f.Pkt.Payload = noc.Payload{Kind: traceKind, Ref: sentinel}
+			tagged = true
+		}
+	})
+	if !tagged {
+		t.Fatal("no packet in flight at cycle 2000")
+	}
+	blob, err := s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := snap.OpenBody(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	secs, err := snap.SplitSections(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := -1
+	for i := range secs {
+		if secs[i].Name == "net" {
+			net = i
+		}
+	}
+	orig := secs[net].Body
+	ref := binary.LittleEndian.AppendUint64(nil, sentinel)
+	at := bytes.Index(orig, ref)
+	kindByte := binary.AppendVarint(nil, traceKind)
+	if at < len(kindByte) || !bytes.Equal(orig[at-len(kindByte):at], kindByte) {
+		t.Fatalf("tagged payload record not found in the net section")
+	}
+	// restore swaps the tagged record (kind varint + reference word) for
+	// record.
+	restore := func(record []byte) error {
+		m := append([]snap.DeltaSection(nil), secs...)
+		m[net].Body = append(append(append([]byte(nil), orig[:at-len(kindByte)]...), record...), orig[at+len(ref):]...)
+		_, err := adaptnoc.RestoreSim(snap.Seal(snap.JoinSections(m)))
+		return err
+	}
+	if err := restore(append(kindByte, ref...)); err != nil {
+		t.Fatalf("unmodified record fails to restore: %v", err)
+	}
+	const prefix = "adaptnoc: restoring net: "
+	for _, kind := range []int64{4, 255, 256} {
+		err := restore(append(binary.AppendVarint(nil, kind), ref...))
+		want := fmt.Sprintf("unknown payload kind %d", kind)
+		if err == nil || !strings.HasPrefix(err.Error(), prefix) || !strings.Contains(err.Error(), want) {
+			t.Errorf("payload kind %d: error %v, want %q…%q", kind, err, prefix, want)
+		}
+	}
+	const txnKind = 2
+	err = restore(append(binary.AppendVarint(nil, txnKind), ref...))
+	if err == nil || !strings.HasPrefix(err.Error(), prefix) || !strings.Contains(err.Error(), "packet references unknown transaction") {
+		t.Errorf("dangling transaction ID: error %v", err)
 	}
 }
 

@@ -492,7 +492,7 @@ func (n *Network) dropPacket(p *Packet, now sim.Cycle) {
 		n.pools[p.slabPool].putSlab(p.flits)
 		p.flits = nil
 	}
-	p.Payload = nil
+	p.Payload = Payload{}
 	n.pools[0].putPacket(p)
 }
 
@@ -745,7 +745,7 @@ func (n *Network) deliver(p *Packet, now sim.Cycle) {
 		n.pools[p.slabPool].putSlab(p.flits)
 		p.flits = nil
 	}
-	p.Payload = nil
+	p.Payload = Payload{}
 	n.pools[0].putPacket(p)
 }
 

@@ -39,7 +39,7 @@ type Packet struct {
 	// Payload carries an opaque reference for the system model (e.g. the
 	// memory transaction this packet belongs to). The network never
 	// inspects it.
-	Payload any
+	Payload Payload
 
 	// datelineClass tracks the torus dateline VC class: packets start in
 	// class 0 and move to class 1 after crossing the dateline, which
@@ -60,6 +60,15 @@ type Packet struct {
 	// NI-side reassembly map so ejection does no map work and reassembly
 	// state is exactly O(in-flight packets).
 	rxFlits int
+}
+
+// Payload is the system model's reference riding on a packet: a kind tag
+// and one word, both meaningful only to the model that attached them. It
+// is a plain value, so attaching one allocates nothing; the zero value is
+// "no payload".
+type Payload struct {
+	Kind uint8
+	Ref  uint64
 }
 
 // QueuingLatency returns cycles spent waiting at the source NI.

@@ -43,12 +43,12 @@ import (
 )
 
 // PayloadCodec serializes the opaque Packet.Payload values a simulation
-// attaches. The system model owns the payload types, so it provides the
-// codec; pure-traffic networks (nil payloads) need none.
+// attaches. The system model owns the payload kinds, so it provides the
+// codec; pure-traffic networks (zero payloads) need none.
 type PayloadCodec interface {
 	// PayloadState is one payload's checkpoint record: it encodes
 	// *payload, or decodes into it.
-	PayloadState(c *snap.Codec, payload *any)
+	PayloadState(c *snap.Codec, payload *Payload)
 }
 
 func (e *Endpoint) snapState(c *snap.Codec) {
@@ -386,7 +386,7 @@ func (p *Packet) snapState(c *snap.Codec, n *Network, codec PayloadCodec) {
 		codec.PayloadState(c, &p.Payload)
 	case hasPayload:
 		c.Failf("noc: checkpoint carries payloads but no codec is installed")
-	case p.Payload != nil:
+	case p.Payload != (Payload{}):
 		c.Failf("noc: packet %v carries a payload but no codec is installed", p)
 	}
 }

@@ -168,55 +168,33 @@ func (m *Machine) SnapSources(c *snap.Codec) {
 	}
 }
 
-// Packets carry either nothing, a fire-and-forget coherence marker, a
-// transaction handle, or a trace-replay node index. The network's
-// snapshot delegates payload bytes to their owner through PayloadState.
-const (
-	payloadNil = iota
-	payloadCoh
-	payloadTxn
-	payloadTrace
-)
-
-// PayloadState implements noc.PayloadCodec. Transaction handles resolve
-// against the already-restored transaction table.
-func (m *Machine) PayloadState(c *snap.Codec, payload *any) {
-	kind := payloadNil
+// PayloadState implements noc.PayloadCodec: the kind (see payloadNil…
+// payloadTrace), then the reference word for the transaction and trace
+// kinds. The kind is decoded as a full int and range-checked before it is
+// narrowed, so no stored value wraps into a valid one. Transaction IDs
+// resolve against the already-restored transaction table.
+func (m *Machine) PayloadState(c *snap.Codec, payload *noc.Payload) {
+	var kind int
 	var ref uint64
 	if !c.Decoding() {
-		switch t := (*payload).(type) {
-		case nil:
-		case cohMsg:
-			kind = payloadCoh
-		case *txn:
-			kind, ref = payloadTxn, t.id
-		case traceRef:
-			kind, ref = payloadTrace, uint64(t)
-		default:
-			c.Failf("system: unserializable payload %T", *payload)
+		kind, ref = int(payload.Kind), payload.Ref
+		if kind > int(payloadTrace) {
+			c.Failf("system: unserializable payload kind %d", kind)
 		}
 	}
 	c.Int(&kind)
-	if kind == payloadTxn || kind == payloadTrace {
+	if kind == int(payloadTxn) || kind == int(payloadTrace) {
 		c.U64(&ref)
 	}
 	if !c.Decoding() || c.Err() != nil {
 		return
 	}
-	switch kind {
-	case payloadNil:
-		*payload = nil
-	case payloadCoh:
-		*payload = cohMsg{}
-	case payloadTxn:
-		if t := m.txns[ref]; t != nil {
-			*payload = t
-		} else {
-			c.Failf("system: packet references unknown transaction %d", ref)
-		}
-	case payloadTrace:
-		*payload = traceRef(ref)
-	default:
+	switch {
+	case kind < int(payloadNil) || kind > int(payloadTrace):
 		c.Failf("system: unknown payload kind %d", kind)
+	case kind == int(payloadTxn) && m.txns[ref] == nil:
+		c.Failf("system: packet references unknown transaction %d", ref)
+	default:
+		*payload = noc.Payload{Kind: uint8(kind), Ref: ref}
 	}
 }

@@ -34,6 +34,9 @@ func DefaultParams() Params {
 // machine's txns table under a stable uint64 ID from creation until its
 // data reply retires it, so packets and scheduled events can reference it
 // by value — the handle a checkpoint can serialize where a pointer cannot.
+// A retired txn is zeroed and recycled by the next newTxn, so no pointer
+// to one may be used after the call that can retire it (Network.Enqueue
+// included: a fault drop there retires synchronously).
 type txn struct {
 	id      uint64
 	app     *App
@@ -51,12 +54,16 @@ const (
 	stageToMC
 )
 
-// cohMsg marks a fire-and-forget coherence message.
-type cohMsg struct{}
-
-// traceRef is the payload of a trace-replay packet: the node index handed
-// back to the source's Retirer when the packet leaves the network.
-type traceRef uint64
+// Payload kinds (noc.Payload.Kind). A packet carries nothing, a
+// fire-and-forget coherence message, a transaction ID, or a trace-replay
+// node index handed back to the source's Retirer when the packet leaves
+// the network. The numbering is the checkpoint's payload encoding.
+const (
+	payloadNil uint8 = iota
+	payloadCoh
+	payloadTxn
+	payloadTrace
+)
 
 // WindowCounters are the per-epoch instruction/cache observations feeding
 // the RL state (Table I). The embedded traffic.Stats block is the portion
@@ -279,6 +286,10 @@ type Machine struct {
 	// it sorted.
 	txns    map[uint64]*txn
 	nextTxn uint64
+	// free is the LIFO stack of retired transactions newTxn recycles, so
+	// a steady-state run allocates none. Serial-only (deliveries replay
+	// serially) and never serialized: a restore starts it empty.
+	free []*txn
 
 	// onDeliver chains an external observer after the machine's own
 	// delivery handling.
@@ -315,10 +326,10 @@ func NewMachine(net *noc.Network, kernel *sim.Kernel, p Params) *Machine {
 	net.SetDropFunc(m.Drop)
 	kernel.Register(m)
 	kernel.RegisterOp(opSliceRespond, func(now sim.Cycle, args [3]int64) {
-		m.sliceRespond(m.txnByID(args[0]), now)
+		m.sliceRespond(m.txnByID(uint64(args[0])), now)
 	})
 	kernel.RegisterOp(opMCReply, func(now sim.Cycle, args [3]int64) {
-		t := m.txnByID(args[0])
+		t := m.txnByID(uint64(args[0]))
 		m.mcs[t.mc].queueLen--
 		m.replyData(t, t.mc, now)
 	})
@@ -327,25 +338,43 @@ func NewMachine(net *noc.Network, kernel *sim.Kernel, p Params) *Machine {
 
 // txnByID resolves a transaction handle carried by an event or packet; a
 // dangling ID is a simulator bug, not a recoverable condition.
-func (m *Machine) txnByID(id int64) *txn {
-	t := m.txns[uint64(id)]
+func (m *Machine) txnByID(id uint64) *txn {
+	t := m.txns[id]
 	if t == nil {
 		panic(fmt.Sprintf("system: unknown transaction %d", id))
 	}
 	return t
 }
 
-// newTxn allocates a transaction ID and enters the transaction into the
-// outstanding table.
-func (m *Machine) newTxn(t *txn) *txn {
+// newTxn assigns the next transaction ID to a recycled (or, with the
+// freelist empty, fresh) txn and enters it into the outstanding table.
+func (m *Machine) newTxn(a *App, c *core, slice, mc noc.NodeID, needsMC bool) *txn {
+	var t *txn
+	if n := len(m.free); n > 0 {
+		t = m.free[n-1]
+		m.free[n-1] = nil
+		m.free = m.free[:n-1]
+	} else {
+		t = new(txn)
+	}
 	m.nextTxn++
-	t.id = m.nextTxn
+	*t = txn{id: m.nextTxn, app: a, core: c, slice: slice, mc: mc, needsMC: needsMC}
 	m.txns[t.id] = t
 	return t
 }
 
-// retireTxn removes a completed transaction from the table.
-func (m *Machine) retireTxn(t *txn) { delete(m.txns, t.id) }
+// retireTxn removes a completed transaction from the table and recycles
+// it. Retiring a transaction that is not outstanding — a double retire —
+// is a simulator bug and panics before the freelist could hand one txn to
+// two owners.
+func (m *Machine) retireTxn(t *txn) {
+	if m.txns[t.id] != t {
+		panic(fmt.Sprintf("system: retiring transaction %d that is not outstanding", t.id))
+	}
+	delete(m.txns, t.id)
+	*t = txn{}
+	m.free = append(m.free, t)
+}
 
 // SetObserver installs an extra packet-delivery observer.
 func (m *Machine) SetObserver(fn noc.DeliverFunc) { m.onDeliver = fn }
@@ -418,7 +447,7 @@ func (m *Machine) applyEvent(a *App, ev traffic.Event, now sim.Cycle) {
 	case traffic.EvCoherence:
 		src, dst := a.cores[ev.Core].tile, a.cores[ev.Peer].tile
 		p := m.net.NewPacket(src, dst, noc.ClassCoherence, noc.VNetRequest, a.ID)
-		p.Payload = cohMsg{}
+		p.Payload = noc.Payload{Kind: payloadCoh}
 		m.net.Enqueue(p, now)
 		a.win.CoherencePackets++
 		a.total.CoherencePackets++
@@ -428,23 +457,24 @@ func (m *Machine) applyEvent(a *App, ev traffic.Event, now sim.Cycle) {
 
 	case traffic.EvMem:
 		c := a.cores[ev.Core]
-		t := m.newTxn(&txn{app: a, core: c, slice: ev.Slice, mc: ev.MC, needsMC: ev.NeedsMC})
+		// Only the ID outlives Enqueue, which may drop and retire the txn.
+		id := m.newTxn(a, c, ev.Slice, ev.MC, ev.NeedsMC).id
 		c.outstanding++
 		if m.rec != nil {
-			m.rec.TxnStart(a.ID, ev.Core, t.id)
+			m.rec.TxnStart(a.ID, ev.Core, id)
 		}
 		if ev.Slice == c.tile {
 			// Local slice: no request traffic; resolve after the L2 lookup.
-			m.kernel.AfterOp(sim.Cycle(m.P.L2LatencyCycles), opSliceRespond, int64(t.id), 0, 0)
+			m.kernel.AfterOp(sim.Cycle(m.P.L2LatencyCycles), opSliceRespond, int64(id), 0, 0)
 			return
 		}
 		p := m.net.NewPacket(c.tile, ev.Slice, noc.ClassCoherence, noc.VNetRequest, a.ID)
-		p.Payload = t
+		p.Payload = noc.Payload{Kind: payloadTxn, Ref: id}
 		m.net.Enqueue(p, now)
 		a.win.CoherencePackets++
 		a.total.CoherencePackets++
 		if m.rec != nil {
-			m.rec.TxnSend(t.id, c.tile, ev.Slice, false, now, a.total.Stats)
+			m.rec.TxnSend(id, c.tile, ev.Slice, false, now, a.total.Stats)
 		}
 
 	case traffic.EvPacket:
@@ -453,7 +483,7 @@ func (m *Machine) applyEvent(a *App, ev traffic.Event, now sim.Cycle) {
 			class, vnet = noc.ClassData, noc.VNetReply
 		}
 		p := m.net.NewPacket(ev.Src, ev.Dst, class, vnet, a.ID)
-		p.Payload = traceRef(ev.Ref)
+		p.Payload = noc.Payload{Kind: payloadTrace, Ref: ev.Ref}
 		m.net.Enqueue(p, now)
 		if ev.Data {
 			a.win.DataPackets++
@@ -482,8 +512,9 @@ func (m *Machine) deliver(p *noc.Packet, now sim.Cycle) {
 			a.total.HopSum += int64(p.Hops)
 		}
 	}
-	switch t := p.Payload.(type) {
-	case *txn:
+	switch p.Payload.Kind {
+	case payloadTxn:
+		t := m.txnByID(p.Payload.Ref)
 		if m.rec != nil {
 			m.rec.TxnPacketDone(t.id, now)
 		}
@@ -502,11 +533,11 @@ func (m *Machine) deliver(p *noc.Packet, now sim.Cycle) {
 		default: // stageToMC
 			m.mcService(t, now)
 		}
-	case traceRef:
+	case payloadTrace:
 		if a := m.appByID(p.App); a != nil && a.retirer != nil {
-			a.retirer.Retire(uint64(t), now)
+			a.retirer.Retire(p.Payload.Ref, now)
 		}
-	case cohMsg:
+	case payloadCoh:
 		// Fire-and-forget coherence message: nothing further.
 	}
 	if m.onDeliver != nil {
@@ -526,8 +557,9 @@ func (m *Machine) Drop(p *noc.Packet, now sim.Cycle) {
 	if p.App >= 0 {
 		m.dropped[p.App]++
 	}
-	switch t := p.Payload.(type) {
-	case *txn:
+	switch p.Payload.Kind {
+	case payloadTxn:
+		t := m.txnByID(p.Payload.Ref)
 		t.core.outstanding--
 		if t.core.outstanding < 0 {
 			panic(fmt.Sprintf("system: outstanding underflow at core %d on drop", t.core.tile))
@@ -537,9 +569,9 @@ func (m *Machine) Drop(p *noc.Packet, now sim.Cycle) {
 			m.rec.TxnEnd(t.id, now)
 		}
 		m.retireTxn(t)
-	case traceRef:
+	case payloadTrace:
 		if a := m.appByID(p.App); a != nil && a.retirer != nil {
-			a.retirer.Retire(uint64(t), now)
+			a.retirer.Retire(p.Payload.Ref, now)
 		}
 	}
 }
@@ -555,13 +587,15 @@ func (m *Machine) sliceRespond(t *txn, now sim.Cycle) {
 			m.mcService(t, now)
 			return
 		}
-		p := m.net.NewPacket(t.slice, t.mc, noc.ClassCoherence, noc.VNetRequest, t.app.ID)
-		p.Payload = t
+		// Enqueue may drop the packet and retire t: read t first.
+		a, id, slice, mc := t.app, t.id, t.slice, t.mc
+		p := m.net.NewPacket(slice, mc, noc.ClassCoherence, noc.VNetRequest, a.ID)
+		p.Payload = noc.Payload{Kind: payloadTxn, Ref: id}
 		m.net.Enqueue(p, now)
-		t.app.win.CoherencePackets++
-		t.app.total.CoherencePackets++
+		a.win.CoherencePackets++
+		a.total.CoherencePackets++
 		if m.rec != nil {
-			m.rec.TxnSend(t.id, t.slice, t.mc, false, now, t.app.total.Stats)
+			m.rec.TxnSend(id, slice, mc, false, now, a.total.Stats)
 		}
 		return
 	}
@@ -596,13 +630,15 @@ func (m *Machine) replyData(t *txn, from noc.NodeID, now sim.Cycle) {
 		m.retireTxn(t)
 		return
 	}
-	p := m.net.NewPacket(from, t.core.tile, noc.ClassData, noc.VNetReply, t.app.ID)
-	p.Payload = t
+	// Enqueue may drop the packet and retire t: read t first.
+	a, id, dst := t.app, t.id, t.core.tile
+	p := m.net.NewPacket(from, dst, noc.ClassData, noc.VNetReply, a.ID)
+	p.Payload = noc.Payload{Kind: payloadTxn, Ref: id}
 	m.net.Enqueue(p, now)
-	t.app.win.DataPackets++
-	t.app.total.DataPackets++
+	a.win.DataPackets++
+	a.total.DataPackets++
 	if m.rec != nil {
-		m.rec.TxnSend(t.id, from, t.core.tile, true, now, t.app.total.Stats)
+		m.rec.TxnSend(id, from, dst, true, now, a.total.Stats)
 	}
 }
 
