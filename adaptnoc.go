@@ -388,6 +388,7 @@ func NewSim(cfg Config) (*Sim, error) {
 	// config stored on the Sim — and in every checkpoint taken from it —
 	// is self-contained.
 	traces := make([]*traffic.TraceApp, len(cfg.Apps))
+	var decodes traceDecodes
 	for i := range cfg.Apps {
 		a := &cfg.Apps[i]
 		for _, mc := range a.MCTiles {
@@ -396,7 +397,7 @@ func NewSim(cfg Config) (*Sim, error) {
 			}
 		}
 		if a.Trace != "" || len(a.TraceData) > 0 {
-			ta, err := resolveTraceSpec(a, ncfg.Width, ncfg.Height)
+			ta, err := resolveTraceSpec(a, ncfg.Width, ncfg.Height, &decodes)
 			if err != nil {
 				return nil, fmt.Errorf("adaptnoc: app %d: %w", i, err)
 			}

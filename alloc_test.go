@@ -1,6 +1,8 @@
 package adaptnoc_test
 
 import (
+	"bytes"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -64,5 +66,67 @@ func TestSteadyStateSimAllocs(t *testing.T) {
 					c.name, perK, maxPerKcycle)
 			}
 		})
+	}
+}
+
+// bytesAllocated reports the heap bytes f allocates (MemStats.TotalAlloc
+// is process-wide, so callers must not run in parallel with other tests).
+func bytesAllocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestTraceReplaySetupAllocs is the set-up contract of trace replay:
+// NewSim decodes each distinct recording once, however many specs replay
+// it and whether they share the blob or — as after a JSON round trip —
+// each hold an equal copy, so set-up costs about one DecodeTrace. The
+// decoded nodes hold no pointers, so the collector never scans them.
+func TestTraceReplaySetupAllocs(t *testing.T) {
+	node := reflect.TypeOf(adaptnoc.TraceApp{}.Nodes).Elem()
+	for i := 0; i < node.NumField(); i++ {
+		switch f := node.Field(i); f.Type.Kind() {
+		case reflect.Bool, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		default:
+			t.Errorf("%s.%s is a %s: node arrays must stay pointer-free", node, f.Name, f.Type)
+		}
+	}
+
+	const maxRatio = 1.5
+	blob := recordMixedTrace(t, 20_000)
+	shared, w, h, err := adaptnoc.TraceWorkload(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(shared) < 3 {
+		t.Fatalf("recording has %d apps, want the mixed workload's 3", len(shared))
+	}
+	copies := append([]adaptnoc.AppSpec(nil), shared...)
+	for i := range copies {
+		copies[i].TraceData = bytes.Clone(blob)
+	}
+	decode := bytesAllocated(func() {
+		if _, err := adaptnoc.DecodeTrace(blob); err != nil {
+			t.Fatal(err)
+		}
+	})
+	for _, c := range []struct {
+		name string
+		apps []adaptnoc.AppSpec
+	}{{"shared blob", shared}, {"equal copies", copies}} {
+		cfg := adaptnoc.Config{Design: adaptnoc.DesignBaseline, Width: w, Height: h, Apps: c.apps, Seed: 1}
+		setup := bytesAllocated(func() {
+			if _, err := adaptnoc.NewSim(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		ratio := float64(setup) / float64(decode)
+		t.Logf("%s: NewSim allocates %d B, %.2fx one %d B decode", c.name, setup, ratio, decode)
+		if ratio > maxRatio {
+			t.Errorf("%s: NewSim allocates %.2fx one DecodeTrace, want <= %.1fx", c.name, ratio, maxRatio)
+		}
 	}
 }

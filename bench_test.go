@@ -441,3 +441,25 @@ func BenchmarkTraceReplay(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkTraceReplaySetup is a replay's whole set-up, the cost every
+// design variant pays before replaying a recording: deriving the specs
+// from the blob, then assembling the Sim. -benchmem shows its bytes.
+func BenchmarkTraceReplaySetup(b *testing.B) {
+	blob := traceBenchBlob(b)
+	b.SetBytes(int64(len(blob)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		apps, w, h, err := adaptnoc.TraceWorkload(blob)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := adaptnoc.NewSim(adaptnoc.Config{
+			Design: adaptnoc.DesignBaseline, Width: w, Height: h,
+			Apps: apps, Seed: 2021, EpochCycles: 4000,
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -33,6 +33,7 @@ type recApp struct {
 	gridW   int
 	mcs     []int32
 	nodes   []TraceNode
+	deps    []int32 // TraceApp.Deps: at most one entry per node
 
 	last Stats // totals at the previous node, for per-node deltas
 
@@ -94,14 +95,19 @@ func (a *recApp) rel(tile noc.NodeID) (int32, bool) {
 	return int32(ry*a.w + rx), true
 }
 
-// addNode appends one packet node and returns its index (-1 once the
-// per-app node cap is hit; the overflow is reported at Finish).
-func (a *recApp) addNode(src, dst noc.NodeID, data bool, deps []int32, gap int64, tot Stats) int32 {
+// addNode appends one packet node depending on node dep (none when
+// negative) and returns its index (-1 once the per-app node cap is hit;
+// the overflow is reported at Finish).
+func (a *recApp) addNode(src, dst noc.NodeID, data bool, dep int32, gap int64, tot Stats) int32 {
 	if a.overflow || len(a.nodes) >= maxTraceNodes {
 		a.overflow = true
 		return -1
 	}
-	n := TraceNode{Data: data, Deps: deps}
+	n := TraceNode{Data: data}
+	if dep >= 0 {
+		n.NDeps = 1
+		a.deps = append(a.deps, dep)
+	}
 	if rel, ok := a.rel(src); ok {
 		n.Src = rel
 	} else {
@@ -138,14 +144,14 @@ func (a *recApp) growCore(core int) {
 // Coherence records a fire-and-forget control packet (no dependencies).
 func (r *Recorder) Coherence(app int, src, dst noc.NodeID, now sim.Cycle, tot Stats) {
 	if a := r.apps[app]; a != nil {
-		a.addNode(src, dst, false, nil, int64(now), tot)
+		a.addNode(src, dst, false, -1, int64(now), tot)
 	}
 }
 
 // Packet records a raw injected packet (re-recording a trace replay).
 func (r *Recorder) Packet(app int, src, dst noc.NodeID, data bool, now sim.Cycle, tot Stats) {
 	if a := r.apps[app]; a != nil {
-		a.addNode(src, dst, data, nil, int64(now), tot)
+		a.addNode(src, dst, data, -1, int64(now), tot)
 	}
 }
 
@@ -164,19 +170,19 @@ func (r *Recorder) TxnSend(id uint64, src, dst noc.NodeID, data bool, now sim.Cy
 		return
 	}
 	a := t.app
-	var deps []int32
+	dep := int32(-1)
 	var gap int64
 	switch {
 	case t.hasNode:
-		deps = []int32{t.node}
+		dep = t.node
 		gap = int64(now) - t.nodeRetire
 	case a.lastDone[t.core] >= 0:
-		deps = []int32{a.lastDone[t.core]}
+		dep = a.lastDone[t.core]
 		gap = int64(now) - a.lastDoneC[t.core]
 	default:
 		gap = int64(now)
 	}
-	if n := a.addNode(src, dst, data, deps, gap, tot); n >= 0 {
+	if n := a.addNode(src, dst, data, dep, gap, tot); n >= 0 {
 		t.node, t.hasNode = n, true
 	}
 }
@@ -221,6 +227,7 @@ func (r *Recorder) Finish() (*Trace, error) {
 			X:       a.x, Y: a.y, W: a.w, H: a.h,
 			MCs:   a.mcs,
 			Nodes: a.nodes,
+			Deps:  a.deps,
 		})
 	}
 	if err := t.validate(); err != nil {

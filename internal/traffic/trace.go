@@ -47,7 +47,8 @@ func corruptf(format string, args ...any) error {
 	return fmt.Errorf("traffic: %s", fmt.Sprintf(format, args...))
 }
 
-// TraceNode is one recorded packet.
+// TraceNode is one recorded packet. It holds no pointers, so a decoded
+// node array is a single allocation the garbage collector never scans.
 type TraceNode struct {
 	// Src and Dst are region-relative tile indices (ry*W + rx), or
 	// absolute tile IDs on the recorded grid when the matching Abs flag
@@ -56,9 +57,10 @@ type TraceNode struct {
 	SrcAbs, DstAbs bool
 	// Data selects the multi-flit data class on the reply vnet.
 	Data bool
-	// Deps are earlier node indices that must retire before this node is
-	// released; an empty list releases at recording start.
-	Deps []int32
+	// NDeps counts this node's entries in TraceApp.Deps: earlier nodes
+	// that must retire before it is released. Zero releases at recording
+	// start.
+	NDeps uint8
 	// Gap is the cycle distance between release and injection.
 	Gap uint32
 	// DRetired/DL1D/DL1I/DL2 are the instruction/cache stat deltas folded
@@ -76,6 +78,11 @@ type TraceApp struct {
 	// MCs are the recorded memory controllers, region-relative.
 	MCs   []int32
 	Nodes []TraceNode
+	// Deps is every node's dependency list back to back, in node order:
+	// node i's list is the NDeps entries after those of nodes 0..i-1.
+	// Every reader walks the nodes in order, so a running offset finds
+	// each list.
+	Deps []int32
 }
 
 // Trace is a decoded dependency trace.
@@ -112,6 +119,7 @@ func (t *Trace) validate() error {
 		if len(a.Nodes) > maxTraceNodes {
 			return corruptf("trace app %d has %d nodes, limit %d", ai, len(a.Nodes), maxTraceNodes)
 		}
+		deps := a.Deps // node ni's list starts here
 		for ni := range a.Nodes {
 			n := &a.Nodes[ni]
 			srcLim, dstLim := region, region
@@ -127,14 +135,21 @@ func (t *Trace) validate() error {
 			if n.SrcAbs == n.DstAbs && n.Src == n.Dst {
 				return corruptf("trace app %d node %d: src == dst", ai, ni)
 			}
-			if len(n.Deps) > maxNodeDeps {
-				return corruptf("trace app %d node %d: %d deps, limit %d", ai, ni, len(n.Deps), maxNodeDeps)
+			if n.NDeps > maxNodeDeps {
+				return corruptf("trace app %d node %d: %d deps, limit %d", ai, ni, n.NDeps, maxNodeDeps)
 			}
-			for _, d := range n.Deps {
+			if int(n.NDeps) > len(deps) {
+				return corruptf("trace app %d node %d: %d deps overrun the dependency list", ai, ni, n.NDeps)
+			}
+			for _, d := range deps[:n.NDeps] {
 				if d < 0 || d >= int32(ni) {
 					return corruptf("trace app %d node %d: dep %d not an earlier node", ai, ni, d)
 				}
 			}
+			deps = deps[n.NDeps:]
+		}
+		if len(deps) != 0 {
+			return corruptf("trace app %d: %d dependency list entries belong to no node", ai, len(deps))
 		}
 	}
 	return nil
@@ -181,6 +196,7 @@ func EncodeTrace(t *Trace) ([]byte, error) {
 			w.Varint(int64(mc))
 		}
 		w.Uvarint(uint64(len(a.Nodes)))
+		deps := a.Deps
 		for ni := range a.Nodes {
 			n := &a.Nodes[ni]
 			var flags byte
@@ -197,12 +213,13 @@ func EncodeTrace(t *Trace) ([]byte, error) {
 			w.Varint(int64(n.Src))
 			w.Varint(int64(n.Dst))
 			w.Uvarint(uint64(n.Gap))
-			w.Uvarint(uint64(len(n.Deps)))
-			for _, d := range n.Deps {
+			w.Uvarint(uint64(n.NDeps))
+			for _, d := range deps[:n.NDeps] {
 				// Backward distance: small for the chain-shaped deps the
 				// recorder emits, so it varint-packs tightly.
 				w.Uvarint(uint64(int32(ni) - d))
 			}
+			deps = deps[n.NDeps:]
 			w.Varint(n.DRetired)
 			w.Varint(n.DL1D)
 			w.Varint(n.DL1I)
@@ -370,18 +387,18 @@ func decodeTraceApp(r *snap.Reader, a *TraceApp) error {
 		if nDeps > maxNodeDeps {
 			return corruptf("node %d: %d deps, limit %d", ni, nDeps, maxNodeDeps)
 		}
-		if nDeps > 0 {
-			n.Deps = make([]int32, nDeps)
-			for di := range n.Deps {
-				back, err := r.Uvarint()
-				if err != nil {
-					return err
-				}
-				if back == 0 || back > uint64(ni) {
-					return corruptf("node %d: dep distance %d out of range", ni, back)
-				}
-				n.Deps[di] = int32(ni) - int32(back)
+		n.NDeps = uint8(nDeps)
+		for range nDeps {
+			back, err := r.Uvarint()
+			if err != nil {
+				return err
 			}
+			if back == 0 || back > uint64(ni) {
+				return corruptf("node %d: dep distance %d out of range", ni, back)
+			}
+			// Appending keeps Deps nil for a dependency-free app, the
+			// same value a literal without Deps holds.
+			a.Deps = append(a.Deps, int32(ni)-int32(back))
 		}
 		for _, dst := range []*int64{&n.DRetired, &n.DL1D, &n.DL1I, &n.DL2} {
 			if *dst, err = r.Varint(); err != nil {
@@ -455,8 +472,11 @@ type TraceSource struct {
 	// gridW converts coordinates to tile IDs.
 	originX, originY, gridW int
 
-	dependents [][]int32
-	depLeft    []int32
+	// dependents[depOff[i]:depOff[i+1]] are the nodes waiting on node i,
+	// in ascending order (compressed sparse rows of the reversed DAG).
+	depOff     []int32
+	dependents []int32
+	depLeft    []uint8 // unretired deps per node, at most maxNodeDeps
 	injected   []bool
 	retired    []bool
 	ready      injHeap
@@ -472,23 +492,45 @@ type TraceSource struct {
 // region at (originX, originY) on a grid gridW tiles wide. The region
 // dimensions must match the recording (the caller validates).
 func NewTraceSource(app *TraceApp, originX, originY, gridW int) *TraceSource {
+	nodes := len(app.Nodes)
 	s := &TraceSource{
 		app: app, originX: originX, originY: originY, gridW: gridW,
-		dependents: make([][]int32, len(app.Nodes)),
-		depLeft:    make([]int32, len(app.Nodes)),
-		injected:   make([]bool, len(app.Nodes)),
-		retired:    make([]bool, len(app.Nodes)),
+		depOff:     make([]int32, nodes+1),
+		dependents: make([]int32, len(app.Deps)),
+		depLeft:    make([]uint8, nodes),
+		injected:   make([]bool, nodes),
+		retired:    make([]bool, nodes),
 	}
+	// Pass 1 counts each node's dependents into depOff[d+1]; the prefix
+	// sum turns the counts into row starts.
+	deps := app.Deps
 	for ni := range app.Nodes {
 		n := &app.Nodes[ni]
-		s.depLeft[ni] = int32(len(n.Deps))
-		for _, d := range n.Deps {
-			s.dependents[d] = append(s.dependents[d], int32(ni))
+		s.depLeft[ni] = n.NDeps
+		for _, d := range deps[:n.NDeps] {
+			s.depOff[d+1]++
 		}
-		if len(n.Deps) == 0 {
+		deps = deps[n.NDeps:]
+		if n.NDeps == 0 {
 			s.ready.push(injEntry{cycle: sim.Cycle(n.Gap), node: int32(ni)})
 		}
 	}
+	for i := 1; i <= nodes; i++ {
+		s.depOff[i] += s.depOff[i-1]
+	}
+	// Pass 2 fills the rows, using depOff[d] as row d's cursor: it ends
+	// at row d+1's start, so one shift restores the starts.
+	deps = app.Deps
+	for ni := range app.Nodes {
+		nd := app.Nodes[ni].NDeps
+		for _, d := range deps[:nd] {
+			s.dependents[s.depOff[d]] = int32(ni)
+			s.depOff[d]++
+		}
+		deps = deps[nd:]
+	}
+	copy(s.depOff[1:], s.depOff[:nodes])
+	s.depOff[0] = 0
 	return s
 }
 
@@ -565,7 +607,7 @@ func (s *TraceSource) Retire(ref uint64, now sim.Cycle) {
 	}
 	s.retired[ref] = true
 	s.nRetired++
-	for _, d := range s.dependents[ref] {
+	for _, d := range s.dependents[s.depOff[ref]:s.depOff[ref+1]] {
 		s.depLeft[d]--
 		if s.depLeft[d] == 0 {
 			s.ready.push(injEntry{cycle: now + sim.Cycle(s.app.Nodes[d].Gap), node: d})
@@ -582,6 +624,7 @@ func (s *TraceSource) SnapState(c *snap.Codec) {
 	var n int
 	if c.Decoding() {
 		s.nRetired = 0
+		deps := s.app.Deps
 		for ni := range s.retired {
 			if s.retired[ni] && !s.injected[ni] {
 				c.Failf("traffic: trace node %d retired but never injected", ni)
@@ -589,12 +632,14 @@ func (s *TraceSource) SnapState(c *snap.Codec) {
 			if s.retired[ni] {
 				s.nRetired++
 			}
+			nd := s.app.Nodes[ni].NDeps
 			s.depLeft[ni] = 0
-			for _, d := range s.app.Nodes[ni].Deps {
+			for _, d := range deps[:nd] {
 				if !s.retired[d] {
 					s.depLeft[ni]++
 				}
 			}
+			deps = deps[nd:]
 		}
 		// The pending set is exactly the released-but-not-injected nodes.
 		for ni := range s.app.Nodes {

@@ -22,9 +22,11 @@ func testTrace() *Trace {
 				MCs: []int32{5},
 				Nodes: []TraceNode{
 					{Src: 0, Dst: 5, Gap: 3, DRetired: 100, DL1D: 4},
-					{Src: 5, Dst: 0, Data: true, Deps: []int32{0}, Gap: 1, DL2: 1},
-					{Src: 1, Dst: 60, DstAbs: true, Deps: []int32{0, 1}, Gap: 7, DL1I: 2},
+					{Src: 5, Dst: 0, Data: true, NDeps: 1, Gap: 1, DL2: 1},
+					{Src: 1, Dst: 60, DstAbs: true, NDeps: 2, Gap: 7, DL1I: 2},
 				},
+				// Node 1 waits on node 0; node 2 on nodes 0 and 1.
+				Deps: []int32{0, 0, 1},
 			},
 			{
 				Profile: "canneal", X: 4, Y: 0, W: 4, H: 4,
@@ -77,11 +79,14 @@ func TestEncodeTraceRejects(t *testing.T) {
 		{"negative endpoint", func(tr *Trace) { tr.Apps[0].Nodes[0].Src = -1 }, "out of range"},
 		{"endpoint outside region", func(tr *Trace) { tr.Apps[0].Nodes[0].Dst = 16 }, "out of range"},
 		{"self loop", func(tr *Trace) { tr.Apps[1].Nodes[0].Dst = 2 }, "src == dst"},
-		{"forward dep", func(tr *Trace) { tr.Apps[0].Nodes[1].Deps[0] = 2 }, "earlier node"},
-		{"self dep", func(tr *Trace) { tr.Apps[0].Nodes[1].Deps[0] = 1 }, "earlier node"},
+		{"forward dep", func(tr *Trace) { tr.Apps[0].Deps[0] = 2 }, "earlier node"},
+		{"self dep", func(tr *Trace) { tr.Apps[0].Deps[0] = 1 }, "earlier node"},
 		{"too many deps", func(tr *Trace) {
-			tr.Apps[0].Nodes[2].Deps = make([]int32, maxNodeDeps+1)
-		}, "deps"},
+			tr.Apps[0].Nodes[2].NDeps = maxNodeDeps + 1
+			tr.Apps[0].Deps = make([]int32, 1+maxNodeDeps+1)
+		}, "deps, limit"},
+		{"deps overrun list", func(tr *Trace) { tr.Apps[0].Nodes[2].NDeps = 3 }, "overrun"},
+		{"deps left over", func(tr *Trace) { tr.Apps[0].Deps = append(tr.Apps[0].Deps, 0) }, "belong to no node"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -308,8 +313,9 @@ func TestTraceSourceDropRelease(t *testing.T) {
 		Profile: "bfs", X: 0, Y: 0, W: 2, H: 2,
 		Nodes: []TraceNode{
 			{Src: 0, Dst: 1},
-			{Src: 1, Dst: 2, Deps: []int32{0}, Gap: 1},
+			{Src: 1, Dst: 2, NDeps: 1, Gap: 1},
 		},
+		Deps: []int32{0},
 	}
 	s := NewTraceSource(app, 0, 0, 4)
 	s.Bind(&traceView{})

@@ -9,7 +9,6 @@ import (
 	"adaptnoc/internal/fault"
 	"adaptnoc/internal/noc"
 	"adaptnoc/internal/topology"
-	"adaptnoc/internal/traffic"
 )
 
 // This file is the package's wire format: Config and Results marshal to
@@ -93,6 +92,7 @@ func (c Config) Validate() error {
 			hint("use 0 for the default 8x8 chip or dimensions in [2,%d]", maxGridDim)
 	}
 	ncfg := netConfig(c.Design, c.Width, c.Height)
+	var decodes traceDecodes
 	for i, a := range c.Apps {
 		f := func(sub string) string { return fmt.Sprintf("apps[%d].%s", i, sub) }
 		hasTrace := a.Trace != "" || len(a.TraceData) > 0
@@ -141,7 +141,7 @@ func (c Config) Validate() error {
 			// client can read the file); inline data validates here so a
 			// daemon can refuse a bad blob before committing a worker.
 			if len(a.TraceData) > 0 {
-				tr, err := traffic.DecodeTrace(a.TraceData)
+				tr, err := decodes.decode(a.TraceData)
 				if err != nil {
 					return fieldErrf(f("traceData"), "%v", err).
 						hint("re-record with adaptnoc-sim -record-trace; blobs are not hand-editable")

@@ -10,6 +10,7 @@ package adaptnoc
 // any other workload.
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 
@@ -44,11 +45,37 @@ func CheckProfile(name string) error {
 	return nil
 }
 
+// traceDecodes decodes each distinct trace blob of one configuration
+// once. A replay workload gives every spec the same recording, and after
+// a JSON round trip (checkpoint restore, serving request) each spec holds
+// its own copy of it, so blobs match by content, not by pointer. The
+// decoded traces are read-only and shared by every source replaying them.
+type traceDecodes []decodedTrace
+
+type decodedTrace struct {
+	blob  []byte
+	trace *traffic.Trace
+}
+
+func (d *traceDecodes) decode(blob []byte) (*traffic.Trace, error) {
+	for _, e := range *d {
+		if bytes.Equal(e.blob, blob) {
+			return e.trace, nil
+		}
+	}
+	tr, err := traffic.DecodeTrace(blob)
+	if err != nil {
+		return nil, err
+	}
+	*d = append(*d, decodedTrace{blob, tr})
+	return tr, nil
+}
+
 // resolveTraceSpec validates one replay spec and returns the recorded
 // stream it names, inlining a path-named file into spec.TraceData as a
 // side effect (the spec is part of the config NewSim stores, which makes
 // checkpoints taken from the sim self-contained).
-func resolveTraceSpec(spec *AppSpec, gridW, gridH int) (*traffic.TraceApp, error) {
+func resolveTraceSpec(spec *AppSpec, gridW, gridH int, decodes *traceDecodes) (*traffic.TraceApp, error) {
 	if spec.Profile != "" {
 		return nil, fmt.Errorf("both profile %q and a trace set; a spec is one or the other", spec.Profile)
 	}
@@ -63,7 +90,7 @@ func resolveTraceSpec(spec *AppSpec, gridW, gridH int) (*traffic.TraceApp, error
 		spec.TraceData = data
 	}
 	spec.Trace = ""
-	tr, err := traffic.DecodeTrace(spec.TraceData)
+	tr, err := decodes.decode(spec.TraceData)
 	if err != nil {
 		return nil, err
 	}
