@@ -125,6 +125,68 @@ func TestCheckpointMidEpochRLTraining(t *testing.T) {
 	t.Run("qtable", func(t *testing.T) { resumeByteIdentical(t, qcfg, 12500, 30000) })
 }
 
+// TestRestoreAfterEveryTopologyPair walks a mesh subNoC through each
+// ordered pair of Kinds, one reconfiguration between 2000-cycle runs, on
+// both Adapt designs. The tree topologies grow routers past the Adapt port
+// count and ports are never removed, so a router's port count is history,
+// not a function of the current topology: restore must rebuild it from the
+// blob. checkpoint∘restore is the identity, the restored twin stays in
+// lockstep, and a chained delta frame applied to the base reproduces the
+// full blob.
+func TestRestoreAfterEveryTopologyPair(t *testing.T) {
+	kinds := []adaptnoc.Kind{adaptnoc.Mesh, adaptnoc.CMesh, adaptnoc.Torus, adaptnoc.Tree, adaptnoc.TorusTree}
+	for _, d := range []adaptnoc.Design{adaptnoc.DesignAdaptNoRL, adaptnoc.DesignAdaptNoC} {
+		for _, from := range kinds {
+			for _, to := range kinds {
+				t.Run(fmt.Sprintf("%v/%v-%v", d, from, to), func(t *testing.T) {
+					s, err := adaptnoc.NewSim(adaptnoc.Config{
+						Design: d,
+						Apps:   []adaptnoc.AppSpec{{Profile: "ferret", Region: adaptnoc.Region{W: 4, H: 4}}},
+						Seed:   7,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, k := range []adaptnoc.Kind{from, to} {
+						s.Run(2000)
+						if err := s.Reconfigure(0, k, nil); err != nil {
+							t.Fatal(err)
+						}
+					}
+					s.Run(2000)
+					base, err := s.Checkpoint()
+					if err != nil {
+						t.Fatal(err)
+					}
+					r, err := adaptnoc.RestoreSim(base)
+					if err != nil {
+						t.Fatalf("restore: %v", err)
+					}
+					if again, err := r.Checkpoint(); err != nil || !bytes.Equal(again, base) {
+						t.Fatalf("re-checkpoint differs from the restored blob (err %v)", err)
+					}
+					s.Run(3000)
+					r.Run(3000)
+					frame, err := s.CheckpointDeltaChained()
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := r.Checkpoint()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if full, err := s.Checkpoint(); err != nil || !bytes.Equal(full, want) {
+						t.Fatalf("restored twin diverged after 3000 cycles (err %v)", err)
+					}
+					if got, err := snap.ApplyChain(base, frame); err != nil || !bytes.Equal(got, want) {
+						t.Fatalf("base + delta frame differs from the full blob (err %v)", err)
+					}
+				})
+			}
+		}
+	}
+}
+
 func TestCheckpointFileRoundTrip(t *testing.T) {
 	cfg := chkConfig(adaptnoc.DesignAdaptNoC)
 	ref, err := adaptnoc.NewSim(cfg)
