@@ -216,6 +216,11 @@ func newRouter(id NodeID, nports int, cfg *Config, net *Network) *Router {
 	return r
 }
 
+// MaxReconfigPorts is the most ports a runtime reconfiguration grows a
+// router to: the tree root's Adapt ports plus its two MC injection ports.
+// Restore grows a router back to its stored port count up to this bound.
+const MaxReconfigPorts = 11
+
 // addPortLocked appends one port with initialized VC rings.
 func (r *Router) addPortLocked() int {
 	r.snapClean = false

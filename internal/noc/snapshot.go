@@ -553,7 +553,18 @@ func (r *Router) snapState(c *snap.Codec, tbl pktTable) {
 
 	id := int(r.ID)
 	nvc := NumVNets * r.cfg.VCsPerVNet
-	c.Len(len(r.inputs), "noc: router %d ports", id)
+	// Ports are never removed, so a router the tree topologies grew keeps
+	// its extra ports after the subNoC moves on, while restore rebuilds only
+	// the current topology: grow it back to the stored count, never past
+	// what a reconfiguration can reach, and never shrink it.
+	if n := c.Count(len(r.inputs), 1); c.Decoding() && n != len(r.inputs) {
+		if n < len(r.inputs) || n > MaxReconfigPorts {
+			c.Failf("noc: router %d ports: have %d, checkpoint has %d", id, len(r.inputs), n)
+		}
+		for len(r.inputs) < n && c.Err() == nil {
+			r.addPortLocked()
+		}
+	}
 	if c.Decoding() {
 		r.buffered = 0
 	}

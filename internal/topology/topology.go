@@ -184,7 +184,7 @@ func EnsurePorts(r *noc.Router, n int) {
 const (
 	portMCInject0 = 9
 	portMCInject1 = 10
-	numTreePorts  = 11
+	numTreePorts  = noc.MaxReconfigPorts
 )
 
 // attachMCInjection gives the root two extra injection ports and every
