@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: build test race bench bench-smoke quick check cover fuzzseeds fault-smoke trace-smoke
+.PHONY: build test race bench bench-smoke quick check cover fuzzseeds
 
 build:
 	go build ./...
@@ -11,17 +11,17 @@ test:
 # check is the full pre-merge gate, and all CI runs: vet, formatting, the
 # complete test suite under the race detector, every fuzz target replayed
 # over its committed seed corpus (no fuzzing engine — plain deterministic
-# replay), the smoke targets below, and the coverage floor. The serve
-# daemon and the fleet need no smoke target: their tests already drive
-# them over loopback HTTP (internal/serve, internal/fleet).
+# replay), the ledger's tests, and the coverage floor. No tool needs a
+# smoke target: the serve daemon and the fleet are driven over loopback
+# HTTP by their tests (internal/serve, internal/fleet), and adaptnoc-sim's
+# fault-campaign and trace record/replay runs are cases of its own test
+# (cmd/adaptnoc-sim).
 check:
 	go vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 	$(MAKE) race
 	$(MAKE) fuzzseeds
-	$(MAKE) fault-smoke
-	$(MAKE) trace-smoke
 	$(MAKE) bench-smoke
 	$(MAKE) cover
 
@@ -58,28 +58,6 @@ bench:
 
 bench-smoke:
 	go -C benchmark test ./...
-
-# fault-smoke runs a small generated fault campaign end-to-end on a
-# static and an adaptive design with the invariant checker armed every
-# cycle: faults strike mid-run, drops are accounted, and nothing is
-# silently lost (also part of check).
-fault-smoke:
-	go run ./cmd/adaptnoc-sim -design baseline -cycles 20000 -epoch 10000 -faults 3 -verify 1 >/dev/null
-	go run ./cmd/adaptnoc-sim -design adapt-noc -cycles 20000 -epoch 10000 -faults 3 -verify 1 >/dev/null
-
-# trace-smoke proves the record→replay pipeline end-to-end through the
-# CLI (also part of check): capture a baseline run into a dependency
-# trace, replay it serially and with four tick shards, and require the
-# two replays' results JSON to be byte-identical. Its files live in one
-# mktemp directory, so concurrent checkouts cannot collide.
-trace-smoke:
-	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; set -x; \
-	go run ./cmd/adaptnoc-sim -design baseline -cycles 8000 -epoch 4000 \
-		-record-trace "$$dir/smoke.trc" >/dev/null; \
-	go run ./cmd/adaptnoc-sim -trace "$$dir/smoke.trc" -json > "$$dir/serial.json"; \
-	go run ./cmd/adaptnoc-sim -trace "$$dir/smoke.trc" -shards 4 -json > "$$dir/sharded.json"; \
-	cmp "$$dir/serial.json" "$$dir/sharded.json"
-	@echo "trace-smoke: shard-identical replay OK"
 
 quick:
 	go run ./cmd/adaptnoc-experiments -quick

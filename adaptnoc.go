@@ -235,8 +235,8 @@ type Sim struct {
 	rec     *traffic.Recorder // nil unless RecordTrace armed it
 
 	// delta caches the sections of the most recent Checkpoint or
-	// CheckpointDelta so the next delta can skip re-encoding quiescent
-	// layers (see checkpoint.go). Nil until the first checkpoint.
+	// CheckpointDeltaChained, the base the next chained frame diffs
+	// against (see checkpoint.go). Nil until the first checkpoint.
 	delta *deltaCache
 }
 
@@ -260,6 +260,18 @@ func netConfig(d Design, w, h int) noc.Config {
 		cfg.InjectionBypass = true
 	}
 	return cfg
+}
+
+// Finite reports whether the configuration runs to completion rather than
+// for a fixed window: some application has an instruction budget or
+// replays a dependency trace. Sim.RunTo takes its run mode from it.
+func (c Config) Finite() bool {
+	for _, a := range c.Apps {
+		if a.InstrBudget > 0 || a.Trace != "" || len(a.TraceData) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // Canonical resolves the configuration into the form NewSim actually

@@ -35,12 +35,10 @@ package adaptnoc
 // content compare turns unchanged bytes into COPY ops.
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"os"
 
-	"adaptnoc/internal/runner"
 	"adaptnoc/internal/snap"
 )
 
@@ -357,33 +355,4 @@ func RestoreSimFromFile(path string) (*Sim, error) {
 		}
 	}
 	return RestoreSim(blob)
-}
-
-// RunContextCheckpointed advances the simulation like RunContext but
-// persists a rolling base + delta chain at path every `every` cycles and
-// at the end of the window (every <= 0 saves only at the end; see
-// ChainWriter for the on-disk shape). The run computes exactly what
-// RunContext computes — slicing never changes simulation behaviour.
-func (s *Sim) RunContextCheckpointed(ctx context.Context, cycles Cycle, path string, every Cycle) error {
-	cw := &ChainWriter{Path: path}
-	return runner.Checkpointed(ctx, cycles, every,
-		func(ctx context.Context, slice Cycle) error { return s.RunContext(ctx, slice) },
-		nil,
-		func() error { return cw.Save(s) })
-}
-
-// RunUntilFinishedCheckpointed advances like RunUntilFinishedContext with
-// the same periodic checkpointing as RunContextCheckpointed.
-func (s *Sim) RunUntilFinishedCheckpointed(ctx context.Context, maxCycles Cycle, path string, every Cycle) (bool, error) {
-	var finished bool
-	cw := &ChainWriter{Path: path}
-	err := runner.Checkpointed(ctx, maxCycles, every,
-		func(ctx context.Context, slice Cycle) error {
-			var err error
-			finished, err = s.RunUntilFinishedContext(ctx, slice)
-			return err
-		},
-		func() bool { return finished },
-		func() error { return cw.Save(s) })
-	return finished, err
 }

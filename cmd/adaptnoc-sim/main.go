@@ -51,8 +51,10 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -64,6 +66,21 @@ import (
 	"adaptnoc/internal/obs"
 	"adaptnoc/internal/traffic"
 )
+
+// errUsage reports a flag the parser rejected; the flag set has already
+// printed the reason and the usage text.
+var errUsage = errors.New("usage")
+
+func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		code := 2
+		if err != errUsage {
+			fmt.Fprintln(os.Stderr, "adaptnoc-sim:", err)
+			code = 1
+		}
+		os.Exit(code)
+	}
+}
 
 // faultSchedule resolves the -faults flag: an integer generates that many
 // seeded random faults over the run window; anything else names a JSON
@@ -85,72 +102,77 @@ func faultSchedule(spec string, faultSeed, seed uint64, w, h int, cycles int64) 
 	return fault.ParseSchedule(data)
 }
 
-func main() {
-	design := flag.String("design", "adapt-noc", "network design to simulate")
-	gpu := flag.String("gpu", "bfs", "GPU application profile (4x8 region)")
-	cpu1 := flag.String("cpu1", "canneal", "first CPU application profile (4x4 region)")
-	cpu2 := flag.String("cpu2", "ferret", "second CPU application profile (4x4 region)")
-	cycles := flag.Int64("cycles", 500000, "cycles to simulate (latency mode)")
-	budget := flag.Int64("budget", 0, "per-core instruction budget (execution-time mode)")
-	epoch := flag.Int("epoch", 50000, "control epoch in cycles")
-	seed := flag.Uint64("seed", 2021, "random seed")
-	share := flag.Int("share", 0, "foreign MCs shared to the GPU application")
-	appsFlag := flag.String("apps", "", `explicit workload, e.g. "bfs:0,0,4,8:tree; canneal:4,0,4,4:cmesh" (overrides -gpu/-cpu1/-cpu2)`)
-	traceFile := flag.String("flittrace", "", "write a flit-level observability trace to this file")
-	replayTrace := flag.String("trace", "", "replay an ADNOCTRC dependency trace (recorded with -record-trace) in place of the synthetic workload")
-	recordTrace := flag.String("record-trace", "", "record the run into an ADNOCTRC dependency-trace file")
-	traceFormat := flag.String("traceformat", "chrome", "flit-trace format: chrome (Perfetto JSON) or ring (binary ring buffer)")
-	traceCap := flag.Int("tracecap", 0, "max trace events kept (0 = format default)")
-	hist := flag.Bool("hist", false, "print per-vnet latency histograms and hotspot counters")
-	verifyEvery := flag.Int64("verify", 0, "run the invariant checker every N cycles (0 = off)")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	epochTrace := flag.Bool("epochtrace", false, "print the per-epoch controller trace (Adapt designs)")
-	stats := flag.Bool("stats", false, "print tick work-list statistics (idle-skip rates)")
-	layout := flag.Bool("layout", false, "render each subNoC's final physical configuration")
-	jsonOut := flag.Bool("json", false, "emit results as JSON")
-	listProfiles := flag.Bool("profiles", false, "list available application profiles and exit")
-	width := flag.Int("width", 0, "chip width in tiles (0 = the paper's 8; multiples of 8 tile the default workload)")
-	height := flag.Int("height", 0, "chip height in tiles (0 = the paper's 8)")
-	shards := flag.Int("shards", 1, "network tick shards: 1 = serial, k > 1 = k parallel row bands, 0 = auto by chip size")
-	checkpoint := flag.String("checkpoint", "", "save the simulation state to this file as the run advances")
-	checkpointEvery := flag.Int64("checkpoint-every", 0, "cycles between checkpoint saves (0 = only at the end)")
-	resumeFrom := flag.String("resume", "", "restore this checkpoint and continue (workload flags are ignored)")
-	faults := flag.String("faults", "", "fault schedule: an integer generates that many seeded random faults, anything else is read as a JSON schedule file")
-	faultSeed := flag.Uint64("fault-seed", 0, "seed for generated fault schedules (0 = derive from -seed)")
-	flag.Parse()
+// run is the whole command: it parses args, simulates, and writes results
+// to stdout and diagnostics to stderr. A returned error is what main
+// prints after "adaptnoc-sim:".
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("adaptnoc-sim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	design := fs.String("design", "adapt-noc", "network design to simulate")
+	gpu := fs.String("gpu", "bfs", "GPU application profile (4x8 region)")
+	cpu1 := fs.String("cpu1", "canneal", "first CPU application profile (4x4 region)")
+	cpu2 := fs.String("cpu2", "ferret", "second CPU application profile (4x4 region)")
+	cycles := fs.Int64("cycles", 500000, "cycles to simulate (latency mode)")
+	budget := fs.Int64("budget", 0, "per-core instruction budget (execution-time mode)")
+	epoch := fs.Int("epoch", 50000, "control epoch in cycles")
+	seed := fs.Uint64("seed", 2021, "random seed")
+	share := fs.Int("share", 0, "foreign MCs shared to the GPU application")
+	appsFlag := fs.String("apps", "", `explicit workload, e.g. "bfs:0,0,4,8:tree; canneal:4,0,4,4:cmesh" (overrides -gpu/-cpu1/-cpu2)`)
+	traceFile := fs.String("flittrace", "", "write a flit-level observability trace to this file")
+	replayTrace := fs.String("trace", "", "replay an ADNOCTRC dependency trace (recorded with -record-trace) in place of the synthetic workload")
+	recordTrace := fs.String("record-trace", "", "record the run into an ADNOCTRC dependency-trace file")
+	traceFormat := fs.String("traceformat", "chrome", "flit-trace format: chrome (Perfetto JSON) or ring (binary ring buffer)")
+	traceCap := fs.Int("tracecap", 0, "max trace events kept (0 = format default)")
+	hist := fs.Bool("hist", false, "print per-vnet latency histograms and hotspot counters")
+	verifyEvery := fs.Int64("verify", 0, "run the invariant checker every N cycles (0 = off)")
+	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+	epochTrace := fs.Bool("epochtrace", false, "print the per-epoch controller trace (Adapt designs)")
+	stats := fs.Bool("stats", false, "print tick work-list statistics (idle-skip rates)")
+	layout := fs.Bool("layout", false, "render each subNoC's final physical configuration")
+	jsonOut := fs.Bool("json", false, "emit results as JSON")
+	listProfiles := fs.Bool("profiles", false, "list available application profiles and exit")
+	width := fs.Int("width", 0, "chip width in tiles (0 = the paper's 8; multiples of 8 tile the default workload)")
+	height := fs.Int("height", 0, "chip height in tiles (0 = the paper's 8)")
+	shards := fs.Int("shards", 1, "network tick shards: 1 = serial, k > 1 = k parallel row bands, 0 = auto by chip size")
+	checkpoint := fs.String("checkpoint", "", "save the simulation state to this file as the run advances")
+	checkpointEvery := fs.Int64("checkpoint-every", 0, "cycles between checkpoint saves (0 = only at the end)")
+	resumeFrom := fs.String("resume", "", "restore this checkpoint and continue (workload flags are ignored)")
+	faults := fs.String("faults", "", "fault schedule: an integer generates that many seeded random faults, anything else is read as a JSON schedule file")
+	faultSeed := fs.Uint64("fault-seed", 0, "seed for generated fault schedules (0 = derive from -seed)")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return nil
+	} else if err != nil {
+		return errUsage
+	}
 
 	if *listProfiles {
-		fmt.Println(strings.Join(traffic.Names(), "\n"))
-		return
+		fmt.Fprintln(stdout, strings.Join(traffic.Names(), "\n"))
+		return nil
 	}
 	d, err := adaptnoc.ParseDesign(*design)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "adaptnoc-sim:", err)
-		os.Exit(1)
+		return err
 	}
 	if *pprofAddr != "" {
 		go func() {
 			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "adaptnoc-sim: pprof:", err)
+				fmt.Fprintln(stderr, "adaptnoc-sim: pprof:", err)
 			}
 		}()
-		fmt.Fprintf(os.Stderr, "adaptnoc-sim: pprof on http://%s/debug/pprof/\n", *pprofAddr)
+		fmt.Fprintf(stderr, "adaptnoc-sim: pprof on http://%s/debug/pprof/\n", *pprofAddr)
 	}
 
 	if *recordTrace != "" && *resumeFrom != "" {
-		fmt.Fprintln(os.Stderr, "adaptnoc-sim: -record-trace needs a cycle-0 start and cannot combine with -resume")
-		os.Exit(1)
+		return errors.New("-record-trace needs a cycle-0 start and cannot combine with -resume")
 	}
 	var s *adaptnoc.Sim
 	var apps []adaptnoc.AppSpec
 	if *resumeFrom != "" {
-		s, err = adaptnoc.RestoreSimFromFile(*resumeFrom)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "adaptnoc-sim:", err)
-			os.Exit(1)
+		if s, err = adaptnoc.RestoreSimFromFile(*resumeFrom); err != nil {
+			return err
 		}
 		apps = s.Cfg.Apps // the checkpoint's own workload
-		fmt.Fprintf(os.Stderr, "adaptnoc-sim: resumed %s (%s) at cycle %d\n",
+		fmt.Fprintf(stderr, "adaptnoc-sim: resumed %s (%s) at cycle %d\n",
 			*resumeFrom, s.Cfg.Design, s.Kernel.Now())
 		if *faults != "" {
 			// The campaign workflow: restore one warmed checkpoint, replay
@@ -158,16 +180,14 @@ func main() {
 			// point so one schedule works against any snapshot.
 			sched, err := faultSchedule(*faults, *faultSeed, s.Cfg.Seed, s.Net.Cfg.Width, s.Net.Cfg.Height, *cycles)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "adaptnoc-sim:", err)
-				os.Exit(1)
+				return err
 			}
 			now := int64(s.Kernel.Now())
 			for i := range sched {
 				sched[i].Cycle += now
 			}
 			if err := s.ApplyFaultSchedule(sched); err != nil {
-				fmt.Fprintln(os.Stderr, "adaptnoc-sim:", err)
-				os.Exit(1)
+				return err
 			}
 		}
 	} else {
@@ -182,14 +202,11 @@ func main() {
 		if *replayTrace != "" {
 			data, rerr := os.ReadFile(*replayTrace)
 			if rerr != nil {
-				fmt.Fprintln(os.Stderr, "adaptnoc-sim: -trace:", rerr)
-				os.Exit(1)
+				return fmt.Errorf("-trace: %w", rerr)
 			}
 			var tw, th int
-			apps, tw, th, err = adaptnoc.TraceWorkload(data)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "adaptnoc-sim:", err)
-				os.Exit(1)
+			if apps, tw, th, err = adaptnoc.TraceWorkload(data); err != nil {
+				return err
 			}
 			// The recorded grid sizes the replay chip unless -width/-height
 			// explicitly picks a (larger) one.
@@ -209,10 +226,8 @@ func main() {
 			apps[0].ShareMCs = *share
 		}
 		if *appsFlag != "" && *replayTrace == "" {
-			apps, err = adaptnoc.ParseAppSpecs(*appsFlag)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "adaptnoc-sim:", err)
-				os.Exit(1)
+			if apps, err = adaptnoc.ParseAppSpecs(*appsFlag); err != nil {
+				return err
 			}
 			for i := range apps {
 				apps[i].InstrBudget = *budget
@@ -227,28 +242,23 @@ func main() {
 			EpochCycles: *epoch,
 		}
 		if *faults != "" {
-			cfg.Faults, err = faultSchedule(*faults, *faultSeed, *seed, w, h, *cycles)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "adaptnoc-sim:", err)
-				os.Exit(1)
+			if cfg.Faults, err = faultSchedule(*faults, *faultSeed, *seed, w, h, *cycles); err != nil {
+				return err
 			}
 		}
 		if d == adaptnoc.DesignAdaptNoC {
 			cfg.RL.Pretrained = adaptnoc.DefaultPolicy()
 			if cfg.RL.Pretrained == nil {
-				fmt.Fprintln(os.Stderr, "adaptnoc-sim: no embedded policy; training online")
+				fmt.Fprintln(stderr, "adaptnoc-sim: no embedded policy; training online")
 				cfg.RL.Train = true
 			}
 		}
-		s, err = adaptnoc.NewSim(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "adaptnoc-sim:", err)
-			os.Exit(1)
+		if s, err = adaptnoc.NewSim(cfg); err != nil {
+			return err
 		}
 		if *recordTrace != "" {
 			if err := s.RecordTrace(); err != nil {
-				fmt.Fprintln(os.Stderr, "adaptnoc-sim:", err)
-				os.Exit(1)
+				return err
 			}
 		}
 	}
@@ -276,8 +286,7 @@ func main() {
 			ring = obs.NewRingTracer(capacity)
 			tee = append(tee, ring)
 		default:
-			fmt.Fprintf(os.Stderr, "adaptnoc-sim: unknown -traceformat %q (want chrome or ring)\n", *traceFormat)
-			os.Exit(1)
+			return fmt.Errorf("unknown -traceformat %q (want chrome or ring)", *traceFormat)
 		}
 	}
 	var metrics *obs.Metrics
@@ -296,116 +305,89 @@ func main() {
 		s.Net.SetVerifier(*verifyEvery, obs.Verify)
 	}
 
-	// A trace replay is finite like a budgeted run: it ends when the
-	// recorded stream drains, with -cycles scaling the safety cap.
-	budgeted := *budget > 0 || *replayTrace != ""
-	if *resumeFrom != "" {
-		budgeted = false
-		for _, a := range apps {
-			if a.InstrBudget > 0 || len(a.TraceData) > 0 || a.Trace != "" {
-				budgeted = true
-				break
-			}
-		}
+	// A finite run (a budget, or a trace replay that ends when the
+	// recorded stream drains) stops when its apps finish; -cycles scales
+	// its safety cap.
+	limit := adaptnoc.Cycle(*cycles)
+	if s.Cfg.Finite() {
+		limit *= 100
 	}
-	every := adaptnoc.Cycle(*checkpointEvery)
-	if budgeted {
-		maxCycles := adaptnoc.Cycle(100 * *cycles)
-		var finished bool
-		if *checkpoint != "" {
-			finished, err = s.RunUntilFinishedCheckpointed(context.Background(),
-				maxCycles-s.Kernel.Now(), *checkpoint, every)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "adaptnoc-sim:", err)
-				os.Exit(1)
-			}
-		} else if remaining := maxCycles - s.Kernel.Now(); remaining > 0 {
-			finished = s.RunUntilFinished(remaining)
-		}
-		if !finished && !s.Machine.AllFinished() {
-			fmt.Fprintln(os.Stderr, "adaptnoc-sim: workload did not finish; raise -cycles")
-			os.Exit(1)
-		}
-	} else {
-		total := adaptnoc.Cycle(*cycles)
-		if *checkpoint != "" {
-			if err := s.RunContextCheckpointed(context.Background(),
-				total-s.Kernel.Now(), *checkpoint, every); err != nil {
-				fmt.Fprintln(os.Stderr, "adaptnoc-sim:", err)
-				os.Exit(1)
-			}
-		} else if remaining := total - s.Kernel.Now(); remaining > 0 {
-			s.Run(remaining)
-		}
+	var save func() error
+	if *checkpoint != "" {
+		cw := &adaptnoc.ChainWriter{Path: *checkpoint}
+		save = func() error { return cw.Save(s) }
+	}
+	finished, err := s.RunTo(context.Background(), limit, adaptnoc.Cycle(*checkpointEvery), save)
+	if err != nil {
+		return err
+	}
+	if !finished {
+		return errors.New("workload did not finish; raise -cycles")
 	}
 	res := s.Results()
 	if *jsonOut {
 		blob, err := json.MarshalIndent(res, "", "  ")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "adaptnoc-sim:", err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Println(string(blob))
+		fmt.Fprintln(stdout, string(blob))
 	} else {
-		fmt.Print(res)
+		fmt.Fprint(stdout, res)
 	}
 
 	if *traceFile != "" {
-		if err := writeTrace(*traceFile, chrome, ring); err != nil {
-			fmt.Fprintln(os.Stderr, "adaptnoc-sim:", err)
-			os.Exit(1)
+		if err := writeTrace(*traceFile, chrome, ring, stderr); err != nil {
+			return err
 		}
 	}
 	if *recordTrace != "" {
 		tr, err := s.FinishTrace()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "adaptnoc-sim:", err)
-			os.Exit(1)
+			return err
 		}
 		blob, err := adaptnoc.EncodeTrace(tr)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "adaptnoc-sim:", err)
-			os.Exit(1)
+			return err
 		}
 		if err := os.WriteFile(*recordTrace, blob, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "adaptnoc-sim:", err)
-			os.Exit(1)
+			return err
 		}
 		n := 0
 		for _, a := range tr.Apps {
 			n += len(a.Nodes)
 		}
-		fmt.Fprintf(os.Stderr, "adaptnoc-sim: recorded %d packets across %d apps to %s (%d bytes)\n",
+		fmt.Fprintf(stderr, "adaptnoc-sim: recorded %d packets across %d apps to %s (%d bytes)\n",
 			n, len(tr.Apps), *recordTrace, len(blob))
 	}
 	if metrics != nil {
-		fmt.Println()
-		metrics.Report(os.Stdout, int64(s.Kernel.Now()))
+		fmt.Fprintln(stdout)
+		metrics.Report(stdout, int64(s.Kernel.Now()))
 	}
 	if *stats {
 		st := s.TickStats()
-		fmt.Printf("\n# tick stats: %d cycles; routers ticked %d skipped %d (%.1f%% skipped); channels ticked %d skipped %d (%.1f%% skipped)\n",
+		fmt.Fprintf(stdout, "\n# tick stats: %d cycles; routers ticked %d skipped %d (%.1f%% skipped); channels ticked %d skipped %d (%.1f%% skipped)\n",
 			st.Cycles, st.RouterTicks, st.RouterSkips, 100*st.RouterSkipRate(),
 			st.ChannelTicks, st.ChannelSkips, 100*st.ChannelSkipRate())
 	}
 	if *layout {
 		for i := range apps {
-			fmt.Printf("\n# app %d (%s), final topology %v\n%s",
+			fmt.Fprintf(stdout, "\n# app %d (%s), final topology %v\n%s",
 				i, apps[i].Profile, s.Topology(i), s.Layout(i))
 		}
 	}
 	if *epochTrace && s.Ctl != nil {
 		for i, b := range s.Ctl.Bindings() {
-			fmt.Printf("\n# epoch trace, app %d (%s)\n", i, apps[i].Profile)
+			fmt.Fprintf(stdout, "\n# epoch trace, app %d (%s)\n", i, apps[i].Profile)
 			for _, rec := range b.Trace {
-				fmt.Printf("ep%-3d kind=%-5v chose=%-5v net=%6.1f queue=%7.1f power=%5.0fmW reward=%6.2f\n",
+				fmt.Fprintf(stdout, "ep%-3d kind=%-5v chose=%-5v net=%6.1f queue=%7.1f power=%5.0fmW reward=%6.2f\n",
 					rec.Epoch, rec.Kind, rec.Chosen, rec.AvgNetLat, rec.AvgQueueLat, rec.PowerMW, rec.Reward)
 			}
 		}
 	}
+	return nil
 }
 
-func writeTrace(path string, chrome *obs.ChromeTracer, ring *obs.RingTracer) error {
+func writeTrace(path string, chrome *obs.ChromeTracer, ring *obs.RingTracer, stderr io.Writer) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -417,14 +399,14 @@ func writeTrace(path string, chrome *obs.ChromeTracer, ring *obs.RingTracer) err
 			return err
 		}
 		if chrome.Dropped > 0 {
-			fmt.Fprintf(os.Stderr, "adaptnoc-sim: trace cap reached, dropped %d events (raise -tracecap)\n", chrome.Dropped)
+			fmt.Fprintf(stderr, "adaptnoc-sim: trace cap reached, dropped %d events (raise -tracecap)\n", chrome.Dropped)
 		}
 	case ring != nil:
 		if _, err := ring.WriteTo(f); err != nil {
 			return err
 		}
 		if ring.Total() > uint64(len(ring.Records())) {
-			fmt.Fprintf(os.Stderr, "adaptnoc-sim: ring kept newest %d of %d events\n", len(ring.Records()), ring.Total())
+			fmt.Fprintf(stderr, "adaptnoc-sim: ring kept newest %d of %d events\n", len(ring.Records()), ring.Total())
 		}
 	}
 	return f.Sync()

@@ -226,7 +226,8 @@ func TestChainWriterRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "roll.ckpt")
-	if err := s.RunContextCheckpointed(context.Background(), 15000, path, 2000); err != nil {
+	cw := &adaptnoc.ChainWriter{Path: path}
+	if _, err := s.RunTo(context.Background(), 15000, 2000, func() error { return cw.Save(s) }); err != nil {
 		t.Fatal(err)
 	}
 	logPath := path + ".delta"

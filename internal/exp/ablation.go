@@ -44,7 +44,7 @@ func Ablations(o Options) (Table, error) {
 	ms, err := mapJobs(o, variants, func(ctx context.Context, v variant) (metrics, error) {
 		cfg := o.buildConfig(adaptnoc.DesignAdaptNoC, []adaptnoc.AppSpec{spec})
 		v.apply(&cfg)
-		res, err := o.evalConfig(ctx, cfg, o.Cycles, 0)
+		res, err := o.evalConfig(ctx, cfg, o.Cycles)
 		if err != nil {
 			return metrics{}, fmt.Errorf("exp: ablation %q: %w", v.name, err)
 		}

@@ -67,10 +67,10 @@ type Options struct {
 	Shards int
 	// Eval, when set, replaces local execution for every simulation a
 	// driver would run: instead of NewSim + Run*, the driver hands the
-	// fully-built configuration and its run window to Eval and uses the
-	// Results it returns. Exactly one of cycles/maxCycles is non-zero —
-	// cycles for fixed-window runs, maxCycles for budgeted runs (advance
-	// until every budgeted app finishes or maxCycles elapse). Because the
+	// fully-built configuration and its cycle limit to Eval and uses the
+	// Results it returns. The limit is absolute, as in Sim.RunTo: the
+	// window of a window config, the completion cap of a finite one
+	// (advance until every budgeted app finishes or the cap). Because the
 	// simulator is deterministic, any Eval that faithfully executes the
 	// configuration (another process, a serve daemon, a fleet of them)
 	// yields byte-identical tables; this is the seam the distributed
@@ -81,15 +81,14 @@ type Options struct {
 	Eval Eval
 }
 
-// Eval evaluates one simulation configuration for a run window and returns
+// Eval evaluates one simulation configuration to a cycle limit and returns
 // its Results (see Options.Eval).
-type Eval func(ctx context.Context, cfg adaptnoc.Config, cycles, maxCycles adaptnoc.Cycle) (adaptnoc.Results, error)
+type Eval func(ctx context.Context, cfg adaptnoc.Config, limit adaptnoc.Cycle) (adaptnoc.Results, error)
 
 // mapJobs fans the jobs over the runner pool at the options' parallelism
 // and returns results in job order. Workers receive the pool's context and
-// must thread it into Sim.RunContext / RunUntilFinishedContext so that the
-// first failing job interrupts the sims still running, not just the ones
-// not yet started.
+// must thread it into Sim.RunTo so that the first failing job interrupts
+// the sims still running, not just the ones not yet started.
 func mapJobs[J, R any](o Options, jobs []J, worker func(context.Context, J) (R, error)) ([]R, error) {
 	return runner.Map(context.Background(), o.Parallelism, jobs, worker)
 }
@@ -175,19 +174,18 @@ func (o Options) checkpointFile(cfg adaptnoc.Config) (string, error) {
 	return filepath.Join(o.CheckpointDir, hex.EncodeToString(sum[:16])+".ckpt"), nil
 }
 
-// evalConfig executes one fully-built configuration — locally, or through
-// Options.Eval when set — and returns its Results. Exactly one of
-// cycles/maxCycles must be non-zero: cycles runs a fixed window, maxCycles
-// runs until every budgeted application finishes or the cap elapses
-// (callers decide whether an unfinished run is an error). The local path
-// carries the execution knobs: Shards, and with CheckpointDir set the run
-// auto-checkpoints (content-addressed by canonical config) and Resume
-// continues from wherever the last checkpoint stood — including a kept
-// final checkpoint, which skips the run entirely. None of those knobs
-// changes what the run computes.
-func (o Options) evalConfig(ctx context.Context, cfg adaptnoc.Config, cycles, maxCycles adaptnoc.Cycle) (adaptnoc.Results, error) {
+// evalConfig executes one fully-built configuration to the cycle limit —
+// locally, or through Options.Eval when set — and returns its Results.
+// The limit is the window of a window config and the completion cap of a
+// finite one (see Sim.RunTo; callers decide whether an unfinished run is
+// an error). The local path carries the execution knobs: Shards, and with
+// CheckpointDir set the run auto-checkpoints (content-addressed by
+// canonical config) and Resume continues from wherever the last checkpoint
+// stood — including a kept final checkpoint, which skips the run
+// entirely. None of those knobs changes what the run computes.
+func (o Options) evalConfig(ctx context.Context, cfg adaptnoc.Config, limit adaptnoc.Cycle) (adaptnoc.Results, error) {
 	if o.Eval != nil {
-		return o.Eval(ctx, cfg, cycles, maxCycles)
+		return o.Eval(ctx, cfg, limit)
 	}
 	ckpt, err := o.checkpointFile(cfg)
 	if err != nil {
@@ -216,20 +214,12 @@ func (o Options) evalConfig(ctx context.Context, cfg adaptnoc.Config, cycles, ma
 		// a fleet of finished simulations must not pin goroutines.
 		defer s.StopWorkers()
 	}
-	if maxCycles > 0 {
-		if ckpt == "" {
-			_, err = s.RunUntilFinishedContext(ctx, maxCycles)
-		} else {
-			_, err = s.RunUntilFinishedCheckpointed(ctx, maxCycles-s.Kernel.Now(), ckpt, o.CheckpointEvery)
-		}
-	} else {
-		if ckpt == "" {
-			err = s.RunContext(ctx, cycles)
-		} else {
-			err = s.RunContextCheckpointed(ctx, cycles-s.Kernel.Now(), ckpt, o.CheckpointEvery)
-		}
+	var save func() error
+	if ckpt != "" {
+		cw := &adaptnoc.ChainWriter{Path: ckpt}
+		save = func() error { return cw.Save(s) }
 	}
-	if err != nil {
+	if _, err := s.RunTo(ctx, limit, o.CheckpointEvery, save); err != nil {
 		return adaptnoc.Results{}, err
 	}
 	return s.Results(), nil
@@ -250,33 +240,23 @@ func unfinishedApps(cfg adaptnoc.Config, res adaptnoc.Results) int {
 }
 
 // runDesign executes one design for the options' window (or until budgeted
-// apps finish) and returns results. The context interrupts a run in flight
-// (within runCheckCycles kernel cycles) — pool cancellation does not wait
-// for the remaining simulation window. Execution happens through
-// evalConfig, so the checkpoint/shard knobs and the Eval hook all apply.
+// apps finish, capped at 100 windows) and returns results. The context
+// interrupts a run in flight (within runCheckCycles kernel cycles) — pool
+// cancellation does not wait for the remaining simulation window.
+// Execution happens through evalConfig, so the checkpoint/shard knobs and
+// the Eval hook all apply.
 func (o Options) runDesign(ctx context.Context, d adaptnoc.Design, apps []adaptnoc.AppSpec) (adaptnoc.Results, error) {
 	cfg := o.buildConfig(d, apps)
-	budgeted := false
-	for _, a := range apps {
-		if a.InstrBudget > 0 {
-			budgeted = true
-			break
-		}
+	limit := o.Cycles
+	if cfg.Finite() {
+		limit *= 100
 	}
-	if budgeted {
-		maxCycles := 100 * o.Cycles
-		res, err := o.evalConfig(ctx, cfg, 0, maxCycles)
-		if err != nil {
-			return adaptnoc.Results{}, fmt.Errorf("exp: %v: %w", d, err)
-		}
-		if unfinishedApps(cfg, res) > 0 {
-			return adaptnoc.Results{}, fmt.Errorf("exp: %v did not finish within %d cycles", d, maxCycles)
-		}
-		return res, nil
-	}
-	res, err := o.evalConfig(ctx, cfg, o.Cycles, 0)
+	res, err := o.evalConfig(ctx, cfg, limit)
 	if err != nil {
 		return adaptnoc.Results{}, fmt.Errorf("exp: %v: %w", d, err)
+	}
+	if unfinishedApps(cfg, res) > 0 {
+		return adaptnoc.Results{}, fmt.Errorf("exp: %v did not finish within %d cycles", d, limit)
 	}
 	return res, nil
 }
@@ -313,7 +293,7 @@ func (o Options) oracleStatics(apps []adaptnoc.AppSpec) ([]adaptnoc.AppSpec, err
 			Apps:        []adaptnoc.AppSpec{probe},
 			Seed:        o.Seed + uint64(j.kind),
 			EpochCycles: o.EpochCycles,
-		}, o.OracleProbeCycles, 0)
+		}, o.OracleProbeCycles)
 		if err != nil {
 			return 0, err
 		}

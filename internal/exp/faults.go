@@ -44,7 +44,7 @@ func RunFaults(o Options, counts []int) (Table, error) {
 	results, err := mapJobs(o, jobs, func(ctx context.Context, j job) (adaptnoc.Results, error) {
 		cfg := o.buildConfig(j.design, apps)
 		cfg.Faults = schedules[j.count]
-		res, err := o.evalConfig(ctx, cfg, o.Cycles, 0)
+		res, err := o.evalConfig(ctx, cfg, o.Cycles)
 		if err != nil {
 			return adaptnoc.Results{}, fmt.Errorf("exp: %v faults=%d: %w", j.design, j.count, err)
 		}

@@ -201,7 +201,7 @@ func hyperSweep(o Options, title, note string, vals []float64, refIdx int,
 		if err := apply(&cfg, v); err != nil {
 			return adaptnoc.Results{}, err
 		}
-		return o.evalConfig(ctx, cfg, o.Cycles, 0)
+		return o.evalConfig(ctx, cfg, o.Cycles)
 	})
 	if err != nil {
 		return Table{}, err

@@ -193,14 +193,23 @@ func (c *Coordinator) ensureItem(key string, req serve.Request) *item {
 // Evaluate runs one canonical simulation request through the fleet and
 // returns its Results. It is the exp.Options.Eval implementation: suites
 // call it for every evaluation, concurrently up to the planner's
-// parallelism.
-func (c *Coordinator) Evaluate(ctx context.Context, cfg adaptnoc.Config, cycles, maxCycles adaptnoc.Cycle) (adaptnoc.Results, error) {
-	req := serve.Request{Config: cfg, Cycles: cycles, MaxCycles: maxCycles}.Canonical()
+// parallelism. limit is as in exp.Eval.
+func (c *Coordinator) Evaluate(ctx context.Context, cfg adaptnoc.Config, limit adaptnoc.Cycle) (adaptnoc.Results, error) {
+	req := requestTo(cfg, limit)
 	key, err := serve.RequestKey(req)
 	if err != nil {
 		return adaptnoc.Results{}, err
 	}
 	return c.evalItem(ctx, key, req)
+}
+
+// requestTo is the canonical serve request that runs cfg to limit: the
+// window of a window config, the completion cap of a finite one.
+func requestTo(cfg adaptnoc.Config, limit adaptnoc.Cycle) serve.Request {
+	if cfg.Finite() {
+		return serve.Request{Config: cfg, MaxCycles: limit}.Canonical()
+	}
+	return serve.Request{Config: cfg, Cycles: limit}.Canonical()
 }
 
 // evalItem drives the item for key to a terminal state and decodes its
@@ -461,13 +470,7 @@ func (c *Coordinator) runLocal(ctx context.Context, it *item) {
 		}
 		simu = fresh
 	}
-	var err error
-	if it.req.Budgeted() {
-		_, err = simu.RunUntilFinishedContext(ctx, it.req.MaxCycles-simu.Kernel.Now())
-	} else {
-		err = simu.RunContext(ctx, it.req.Cycles-simu.Kernel.Now())
-	}
-	if err != nil {
+	if _, err := simu.RunTo(ctx, it.req.Limit(), 0, nil); err != nil {
 		// Canceled mid-run: shadow the state so the next driver resumes
 		// from here instead of cycle zero.
 		if blob, cerr := simu.Checkpoint(); cerr == nil {

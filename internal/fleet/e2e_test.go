@@ -234,7 +234,7 @@ func TestStealDuplicatesOntoIdleWorker(t *testing.T) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.Evaluate(ctx, smokeConfig(), 120000, 0)
+		_, err := c.Evaluate(ctx, smokeConfig(), 120000)
 		done <- err
 	}()
 

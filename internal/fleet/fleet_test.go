@@ -143,7 +143,7 @@ func TestLocalFallback(t *testing.T) {
 	defer c.Close()
 
 	const cycles = 4000
-	got, err := c.Evaluate(context.Background(), smokeConfig(), cycles, 0)
+	got, err := c.Evaluate(context.Background(), smokeConfig(), cycles)
 	if err != nil {
 		t.Fatalf("Evaluate: %v", err)
 	}
@@ -166,7 +166,7 @@ func TestLocalFallback(t *testing.T) {
 	}
 
 	// The same request again must be answered from the completed item.
-	if _, err := c.Evaluate(context.Background(), smokeConfig(), cycles, 0); err != nil {
+	if _, err := c.Evaluate(context.Background(), smokeConfig(), cycles); err != nil {
 		t.Fatalf("second Evaluate: %v", err)
 	}
 	if n := c.localRuns.Load(); n != 1 {
@@ -292,7 +292,7 @@ func TestEnrollRegistersAndRecovers(t *testing.T) {
 func TestMetricsExposition(t *testing.T) {
 	c := New(Options{Poll: 10 * time.Millisecond, JitterSeed: 1})
 	defer c.Close()
-	if _, err := c.Evaluate(context.Background(), smokeConfig(), 4000, 0); err != nil {
+	if _, err := c.Evaluate(context.Background(), smokeConfig(), 4000); err != nil {
 		t.Fatal(err)
 	}
 

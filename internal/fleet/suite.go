@@ -122,7 +122,7 @@ func (c *Coordinator) runSuite(sr *suiteRecord) {
 	defer c.wg.Done()
 	o := sr.manifest.Options()
 	o.Parallelism = c.opts.Parallelism
-	o.Eval = func(ctx context.Context, cfg adaptnoc.Config, cycles, maxCycles adaptnoc.Cycle) (adaptnoc.Results, error) {
+	o.Eval = func(ctx context.Context, cfg adaptnoc.Config, limit adaptnoc.Cycle) (adaptnoc.Results, error) {
 		// Tie the evaluation to the coordinator's lifetime as well as the
 		// planner's own cancellation.
 		evalCtx, cancel := context.WithCancel(ctx)
@@ -130,7 +130,7 @@ func (c *Coordinator) runSuite(sr *suiteRecord) {
 		stop := context.AfterFunc(c.ctx, cancel)
 		defer stop()
 
-		req := serve.Request{Config: cfg, Cycles: cycles, MaxCycles: maxCycles}.Canonical()
+		req := requestTo(cfg, limit)
 		key, err := serve.RequestKey(req)
 		if err != nil {
 			return adaptnoc.Results{}, err

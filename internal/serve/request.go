@@ -30,28 +30,16 @@ const (
 	DefaultMaxCycles adaptnoc.Cycle = 50000000
 )
 
-// Budgeted reports whether the request runs to application completion
-// rather than for a fixed window: some app has an instruction budget, or
-// replays a finite dependency trace.
-func (r Request) Budgeted() bool {
-	for _, a := range r.Config.Apps {
-		if a.InstrBudget > 0 || a.Trace != "" || len(a.TraceData) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Canonical resolves the request into the form the worker actually
 // executes: the config is canonicalized (see adaptnoc.Config.Canonical)
-// and exactly one of Cycles/MaxCycles survives, defaulted — budgeted
-// requests keep MaxCycles, fixed-window requests keep Cycles. Two requests
-// name the same computation iff their canonical forms are equal, which is
-// what RequestKey hashes.
+// and exactly one of Cycles/MaxCycles survives, defaulted — finite
+// requests (adaptnoc.Config.Finite) keep MaxCycles, fixed-window requests
+// keep Cycles. Two requests name the same computation iff their canonical
+// forms are equal, which is what RequestKey hashes.
 func (r Request) Canonical() Request {
 	req := r
 	req.Config = r.Config.Canonical()
-	if req.Budgeted() {
+	if req.Config.Finite() {
 		req.Cycles = 0
 		if req.MaxCycles == 0 {
 			req.MaxCycles = DefaultMaxCycles
@@ -63,6 +51,15 @@ func (r Request) Canonical() Request {
 		}
 	}
 	return req
+}
+
+// Limit is the cycle a canonical request runs to (adaptnoc.Sim.RunTo):
+// the field Canonical kept.
+func (r Request) Limit() adaptnoc.Cycle {
+	if r.Config.Finite() {
+		return r.MaxCycles
+	}
+	return r.Cycles
 }
 
 // Validate checks the request, naming the offending field like

@@ -298,8 +298,7 @@ func (s *Server) execute(ctx context.Context, j *job) ([]byte, error) {
 		}
 		simu = fresh
 	}
-	epoch := adaptnoc.Cycle(j.req.Config.EpochCycles)
-	emit := func() {
+	emit := func() error {
 		ts := simu.TickStats()
 		j.events.Append(Event{
 			Cycle:           int64(simu.Kernel.Now()),
@@ -315,37 +314,11 @@ func (s *Server) execute(ctx context.Context, j *job) ([]byte, error) {
 		if j.lease > 0 {
 			j.shadow(simu)
 		}
+		return nil
 	}
-	if j.req.Budgeted() {
-		for remaining := j.req.MaxCycles - simu.Kernel.Now(); remaining > 0; {
-			slice := epoch
-			if remaining < slice {
-				slice = remaining
-			}
-			finished, err := simu.RunUntilFinishedContext(ctx, slice)
-			if err != nil {
-				s.saveCheckpoint(ctx, j, simu, ckpt)
-				return nil, err
-			}
-			emit()
-			if finished {
-				break
-			}
-			remaining -= slice
-		}
-	} else {
-		for remaining := j.req.Cycles - simu.Kernel.Now(); remaining > 0; {
-			slice := epoch
-			if remaining < slice {
-				slice = remaining
-			}
-			if err := simu.RunContext(ctx, slice); err != nil {
-				s.saveCheckpoint(ctx, j, simu, ckpt)
-				return nil, err
-			}
-			emit()
-			remaining -= slice
-		}
+	if _, err := simu.RunTo(ctx, j.req.Limit(), adaptnoc.Cycle(j.req.Config.EpochCycles), emit); err != nil {
+		s.saveCheckpoint(ctx, j, simu, ckpt)
+		return nil, err
 	}
 	blob, err := json.Marshal(simu.Results())
 	if err != nil {

@@ -70,7 +70,7 @@ func TestRequestRejectsTracePaths(t *testing.T) {
 
 func TestTraceRequestIsBudgeted(t *testing.T) {
 	req := serve.Request{Config: traceConfig(t, 1)}
-	if !req.Budgeted() {
+	if !req.Config.Finite() {
 		t.Fatal("a trace replay must run to completion, not for a fixed window")
 	}
 	canon := req.Canonical()

@@ -179,10 +179,10 @@ func TestRunContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.RunUntilFinishedContext(ctx, 1_000_000); err == nil {
-		t.Fatal("cancelled RunUntilFinishedContext returned nil")
+	if _, err := d.RunTo(ctx, 1_000_000, 0, nil); err == nil {
+		t.Fatal("cancelled budgeted RunTo returned nil")
 	}
 	if now := d.Kernel.Now(); now != 0 {
-		t.Fatalf("cancelled RunUntilFinishedContext advanced the clock to %d", now)
+		t.Fatalf("cancelled budgeted RunTo advanced the clock to %d", now)
 	}
 }

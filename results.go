@@ -69,8 +69,8 @@ func (s *Sim) StopWorkers() { s.Net.StopWorkers() }
 // RunUntilFinished advances until every budgeted application completes or
 // maxCycles elapse; it reports whether everything finished.
 func (s *Sim) RunUntilFinished(maxCycles Cycle) bool {
-	finished, _ := s.RunUntilFinishedContext(context.Background(), maxCycles)
-	return finished
+	s.advance(context.Background(), s.Kernel.Now()+maxCycles, true)
+	return s.Machine.AllFinished()
 }
 
 // runCheckCycles is the cancellation-poll granularity of the context-aware
@@ -85,37 +85,60 @@ const runCheckCycles = 1024
 // Cancellation never corrupts the simulation: it stops between cycles, and
 // the sim can be resumed or inspected (Results) afterwards.
 func (s *Sim) RunContext(ctx context.Context, cycles Cycle) error {
-	limit := s.Kernel.Now() + cycles
-	for s.Kernel.Now() < limit {
+	return s.advance(ctx, s.Kernel.Now()+cycles, false)
+}
+
+// RunTo is the run loop every driver shares. It advances the simulation to
+// the absolute cycle limit, so a restored simulation runs only what
+// remains, and takes its mode from the configuration: a Finite config
+// stops as soon as every budgeted or replayed application has finished,
+// any other runs the whole window.
+//
+// The run is cut into slices of every cycles, counted from the clock at
+// the call (every <= 0 is one slice), and after, when non-nil, runs once
+// after each completed slice, the last one included: a periodic
+// ChainWriter.Save, a progress event. Slicing never changes what the run
+// computes. An error from after, or ctx's error (polled every
+// runCheckCycles cycles), stops the run and is returned as it is.
+// finished reports whether every finite application has completed, which
+// a window config, having none, always has.
+func (s *Sim) RunTo(ctx context.Context, limit, every Cycle, after func() error) (finished bool, err error) {
+	finite := s.Cfg.Finite()
+	for next := s.Kernel.Now(); next < limit && !(finite && s.Machine.AllFinished()); {
+		if every <= 0 || every >= limit-next {
+			next = limit
+		} else {
+			next += every
+		}
+		if err = s.advance(ctx, next, finite); err == nil && after != nil {
+			err = after()
+		}
+		if err != nil {
+			break
+		}
+	}
+	return s.Machine.AllFinished(), err
+}
+
+// advance runs to the absolute cycle limit, polling ctx every
+// runCheckCycles cycles. untilFinished steps cycle by cycle and stops at
+// the cycle the last finite application finishes, so that stop cycle, and
+// with it the energy window, never depends on how the run was sliced.
+func (s *Sim) advance(ctx context.Context, limit Cycle, untilFinished bool) error {
+	for s.Kernel.Now() < limit && !(untilFinished && s.Machine.AllFinished()) {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		slice := Cycle(runCheckCycles)
-		if rem := limit - s.Kernel.Now(); rem < slice {
-			slice = rem
+		chunk := min(limit, s.Kernel.Now()+runCheckCycles)
+		if !untilFinished {
+			s.Kernel.Run(chunk)
+			continue
 		}
-		s.Kernel.RunFor(slice)
+		for s.Kernel.Now() < chunk && !s.Machine.AllFinished() {
+			s.Kernel.Step()
+		}
 	}
 	return nil
-}
-
-// RunUntilFinishedContext advances until every budgeted application
-// completes, maxCycles elapse, or ctx is cancelled, whichever happens
-// first. It steps cycle-by-cycle (so the stop cycle — and therefore the
-// energy accounting window — is identical to RunUntilFinished) and polls
-// ctx every runCheckCycles cycles. It reports whether everything finished
-// and the context error, if cancellation cut the run short.
-func (s *Sim) RunUntilFinishedContext(ctx context.Context, maxCycles Cycle) (bool, error) {
-	limit := s.Kernel.Now() + maxCycles
-	for steps := 0; s.Kernel.Now() < limit && !s.Machine.AllFinished(); steps++ {
-		if steps%runCheckCycles == 0 {
-			if err := ctx.Err(); err != nil {
-				return s.Machine.AllFinished(), err
-			}
-		}
-		s.Kernel.Step()
-	}
-	return s.Machine.AllFinished(), nil
 }
 
 // Results flushes the remaining energy windows and assembles the outcome.
