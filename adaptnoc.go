@@ -31,6 +31,7 @@ import (
 	"adaptnoc/internal/power"
 	"adaptnoc/internal/rl"
 	"adaptnoc/internal/sim"
+	"adaptnoc/internal/snap"
 	"adaptnoc/internal/system"
 	"adaptnoc/internal/topology"
 	"adaptnoc/internal/traffic"
@@ -234,10 +235,12 @@ type Sim struct {
 	faults  *fault.Engine     // nil unless Cfg.Faults is non-empty
 	rec     *traffic.Recorder // nil unless RecordTrace armed it
 
-	// delta caches the sections of the most recent Checkpoint or
-	// CheckpointDeltaChained, the base the next chained frame diffs
-	// against (see checkpoint.go). Nil until the first checkpoint.
-	delta *deltaCache
+	// snaps turns the checkpoint walk into full blobs and delta frames and
+	// keeps the newest snapshot, the base the next frame diffs against
+	// (see checkpoint.go); cfgJSON caches the config section between full
+	// checkpoints.
+	snaps   snap.SectionSource
+	cfgJSON []byte
 }
 
 // netConfig derives the per-design microarchitecture (Section IV-A's
@@ -425,6 +428,7 @@ func NewSim(cfg Config) (*Sim, error) {
 	}
 
 	s := &Sim{Cfg: cfg, specs: cfg.Apps}
+	s.snaps.Walk = s.checkpointSections
 	s.Kernel = sim.NewKernel()
 	s.Net = noc.NewNetwork(ncfg)
 	s.Kernel.Register(s.Net)
@@ -595,6 +599,7 @@ func (s *Sim) ApplyFaultSchedule(events []fault.Event) error {
 		return fmt.Errorf("adaptnoc: %w", err)
 	}
 	s.Cfg.Faults = append(s.Cfg.Faults, events...)
+	s.cfgJSON = nil // the next frame carries the extended schedule
 	return nil
 }
 

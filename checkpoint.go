@@ -37,29 +37,9 @@ package adaptnoc
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 
 	"adaptnoc/internal/snap"
 )
-
-// deltaCache remembers the sections of the most recent checkpoint so the
-// next CheckpointDeltaChained can diff against them with part-level
-// alignment. It is an encoder-side cache only: dropping it never changes
-// what restores, just how much work the next delta costs.
-type deltaCache struct {
-	bodyHash [32]byte
-	secs     []snap.DeltaSection
-
-	// Reuse pools carried from generation to generation so a steady-state
-	// delta allocates (almost) nothing: retired section buffers keyed by
-	// section name (dead once the frame diffing them was encoded), the
-	// retired joined-body buffer, and the frame encoder with its deflate
-	// state. All encoder-side only — dropping them costs speed, never
-	// correctness.
-	scratch map[string]snap.DeltaSection
-	body    []byte
-	enc     *snap.DeltaEncoder
-}
 
 // sections is the checkpoint body after its config section, in blob order:
 // each layer's name, whether this simulation carries it, and the one
@@ -89,26 +69,24 @@ var sections = []struct {
 func always(*Sim) bool { return true }
 
 // checkpointSections walks the layers and returns the section list a full
-// checkpoint body consists of, in blob order. A chained walk (prev != nil)
-// writes over the buffers prev retired instead of allocating.
-func (s *Sim) checkpointSections(prev *deltaCache) ([]snap.DeltaSection, error) {
+// checkpoint body consists of, in blob order: s.snaps's Walk. Each
+// section's buffers come back from an earlier snapshot (snap.SectionSource
+// Reuse), so a steady-state walk allocates almost nothing.
+func (s *Sim) checkpointSections() ([]snap.DeltaSection, error) {
 	if s.Cfg.RL.SharedAgent != nil {
 		return nil, fmt.Errorf("adaptnoc: a simulation with an in-process shared agent cannot be checkpointed")
 	}
-	// The config section body is the raw JSON, not Writer-framed, and the
-	// config is immutable for a sim's lifetime — a chained walk shares the
-	// previous generation's encoding (always section 0).
-	var cfgJSON []byte
-	if prev != nil {
-		cfgJSON = prev.secs[0].Body
-	} else {
+	// The config section body is the raw JSON, not Writer-framed. It is
+	// encoded by every full Checkpoint and whenever the config changed
+	// (ApplyFaultSchedule); frames share the cached encoding.
+	if s.cfgJSON == nil {
 		var err error
-		if cfgJSON, err = json.Marshal(s.Cfg); err != nil {
+		if s.cfgJSON, err = json.Marshal(s.Cfg); err != nil {
 			return nil, fmt.Errorf("adaptnoc: encoding config: %w", err)
 		}
 	}
 	secs := make([]snap.DeltaSection, 1, 1+len(sections))
-	secs[0] = snap.DeltaSection{Name: "config", Body: cfgJSON}
+	secs[0] = snap.DeltaSection{Name: "config", Body: s.cfgJSON}
 	// One Writer and one Codec serve the whole walk (sec.state is an
 	// indirect call, so they live on the heap); each section's bytes leave
 	// the Writer before the next one resets it.
@@ -118,11 +96,7 @@ func (s *Sim) checkpointSections(prev *deltaCache) ([]snap.DeltaSection, error) 
 		if !sec.present(s) {
 			continue
 		}
-		var retired snap.DeltaSection
-		if prev != nil {
-			retired = prev.scratch[sec.name]
-			delete(prev.scratch, sec.name)
-		}
+		retired := s.snaps.Reuse(sec.name)
 		w.ResetWith(retired.Body, retired.Parts)
 		if sec.state(s, &c); c.Err() != nil {
 			return nil, fmt.Errorf("adaptnoc: snapshotting %s: %w", sec.name, c.Err())
@@ -134,23 +108,15 @@ func (s *Sim) checkpointSections(prev *deltaCache) ([]snap.DeltaSection, error) 
 
 // Checkpoint serializes the complete simulation state. The simulation can
 // keep running afterwards; a checkpoint is a pure read of the simulated
-// state (it refreshes the encoder-side delta cache as a side effect).
+// state (it becomes the base the next CheckpointDeltaChained diffs
+// against).
 //
 // Configurations carrying an in-process shared RL agent (RL.SharedAgent)
 // cannot be checkpointed: the handle has no serialized form inside the
 // blob's config, so a restore could not rebuild the sharing.
 func (s *Sim) Checkpoint() ([]byte, error) {
-	secs, err := s.checkpointSections(nil)
-	if err != nil {
-		return nil, err
-	}
-	body := snap.JoinSections(secs)
-	d := &deltaCache{bodyHash: snap.BodyHash(body), secs: secs, body: body}
-	if old := s.delta; old != nil {
-		d.enc = old.enc
-	}
-	s.delta = d
-	return snap.Seal(body), nil
+	s.cfgJSON = nil
+	return s.snaps.Checkpoint()
 }
 
 // CheckpointDeltaChained encodes a delta frame against the state captured
@@ -159,46 +125,13 @@ func (s *Sim) Checkpoint() ([]byte, error) {
 // previous sealed blob is not kept around. Only what changed since is
 // encoded: snap.ApplyChain(base, frames...) reproduces the byte-identical
 // blob a full Checkpoint would have returned.
-func (s *Sim) CheckpointDeltaChained() ([]byte, error) {
-	prev := s.delta
-	if prev == nil {
-		return nil, fmt.Errorf("adaptnoc: no checkpoint taken yet to chain a delta onto")
-	}
-	secs, err := s.checkpointSections(prev)
-	if err != nil {
-		return nil, err
-	}
-	body := snap.JoinSectionsInto(prev.body, secs)
-	newHash := snap.BodyHash(body)
-	if prev.enc == nil {
-		prev.enc = new(snap.DeltaEncoder)
-	}
-	frame := prev.enc.Encode(prev.secs, secs, prev.bodyHash, newHash)
-	// Once the frame is encoded the previous generation's section buffers
-	// are dead, and their capacity is exactly what the same sections want
-	// next interval. The config body is shared by every generation and
-	// stays out of the pool.
-	scratch := prev.scratch // emptied by the walk
-	if scratch == nil {
-		scratch = make(map[string]snap.DeltaSection, len(prev.secs))
-	}
-	for _, old := range prev.secs[1:] {
-		scratch[old.Name] = old
-	}
-	s.delta = &deltaCache{bodyHash: newHash, secs: secs, scratch: scratch, body: body, enc: prev.enc}
-	return frame, nil
-}
+func (s *Sim) CheckpointDeltaChained() ([]byte, error) { return s.snaps.CheckpointDeltaChained() }
 
 // CheckpointBodyHash reports the body hash of this simulation's most
 // recent Checkpoint/CheckpointDeltaChained — the chain tip a consumer
 // needs to name when negotiating deltas against a remote copy of the base.
 // ok is false before the first checkpoint.
-func (s *Sim) CheckpointBodyHash() (hash [32]byte, ok bool) {
-	if s.delta == nil {
-		return hash, false
-	}
-	return s.delta.bodyHash, true
-}
+func (s *Sim) CheckpointBodyHash() (hash [32]byte, ok bool) { return s.snaps.CheckpointBodyHash() }
 
 // RestoreSim rebuilds a simulation from a checkpoint blob, in this or any
 // other process. The restored simulation continues exactly where the
@@ -252,107 +185,41 @@ func RestoreSim(blob []byte) (*Sim, error) {
 	return s, nil
 }
 
-// WriteCheckpoint serializes the simulation and writes it to path
-// atomically (temp file + rename), so a crash mid-write never leaves a
-// torn checkpoint behind. Any delta log a ChainWriter left beside an
-// earlier checkpoint at this path is removed: it described the old base.
-func (s *Sim) WriteCheckpoint(path string) error {
-	blob, err := s.Checkpoint()
-	if err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, blob, 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	// Best-effort: a crash landing between the rename and this remove
-	// leaves a log whose first frame no longer matches the new base's
-	// hash, which restore detects and ignores.
-	os.Remove(deltaLogPath(path))
-	return nil
-}
-
 // DefaultMaxChain is how many delta frames a ChainWriter appends before
 // rebasing onto a fresh full checkpoint. Restore cost grows linearly with
 // chain length while the per-save win is already maximal at length one,
 // so the default keeps worst-case recovery around a second.
 const DefaultMaxChain = 64
 
-// deltaLogPath is where a ChainWriter accumulates delta frames for the
-// base checkpoint at path.
-func deltaLogPath(path string) string { return path + ".delta" }
-
-// ChainWriter persists a rolling checkpoint as a full base blob at Path
-// plus an append-only delta log at Path+".delta". The first Save (and
-// every MaxDeltas-th after it) writes a full checkpoint and truncates the
-// log; every other Save appends one length-prefixed delta frame, which is
-// dozens of bytes to a few kilobytes where a full blob is tens of
-// kilobytes. RestoreSimFromFile understands the pair, applying the
-// longest valid prefix of the log — a torn final append (the crash the
-// log exists to survive) costs at most one save interval.
+// ChainWriter persists a rolling checkpoint at Path as a snap.Chain: a
+// full base blob at Path plus an append-only delta log beside it. The
+// first Save, and the first after the log reaches DefaultMaxChain frames,
+// writes a full checkpoint and removes the log; every other Save appends
+// one delta frame, dozens of bytes to a few kilobytes where a full blob
+// is tens of kilobytes. A fresh ChainWriter's first Save is therefore
+// the way to write one full checkpoint file atomically.
 //
 // A ChainWriter assumes it is the only checkpoint producer for its
 // simulation between its own saves; if something else takes a checkpoint
 // in between, the next Save detects the broken lineage by hash and
-// rebases onto a full checkpoint instead of appending a frame that could
-// never apply.
+// rebases onto a full checkpoint.
 type ChainWriter struct {
-	Path string
-	// MaxDeltas caps the log length before a rebase; <= 0 means
-	// DefaultMaxChain.
-	MaxDeltas int
-
-	started bool
-	deltas  int
-	tip     [32]byte // body hash of the chain tip on disk
+	Path  string
+	chain snap.Chain
 }
 
 // Save persists the simulation's current state: a full checkpoint on the
-// first call and at every rebase threshold, a delta frame otherwise.
-func (c *ChainWriter) Save(s *Sim) error {
-	max := c.MaxDeltas
-	if max <= 0 {
-		max = DefaultMaxChain
-	}
-	if c.started && c.deltas < max {
-		frame, err := s.CheckpointDeltaChained()
-		if err == nil {
-			base, result, herr := snap.DeltaHashes(frame)
-			if herr == nil && base == c.tip {
-				if err := snap.AppendFrame(deltaLogPath(c.Path), frame); err != nil {
-					return err
-				}
-				c.deltas++
-				c.tip = result
-				return nil
-			}
-		}
-		// No prior checkpoint in this sim, or someone else advanced the
-		// sim's delta cache since our last Save: rebase.
-	}
-	if err := s.WriteCheckpoint(c.Path); err != nil {
-		return err
-	}
-	c.started, c.deltas, c.tip = true, 0, s.delta.bodyHash
-	return nil
-}
+// first call and at every rebase, a delta frame otherwise.
+func (c *ChainWriter) Save(s *Sim) error { return c.chain.Save(c.Path, DefaultMaxChain, s) }
 
-// RestoreSimFromFile reads a checkpoint written by WriteCheckpoint or a
-// ChainWriter. When a delta log sits beside the base, the longest valid
-// prefix of its frames is applied first, recovering the newest state the
-// chain intactly reaches.
+// RestoreSimFromFile restores a checkpoint a ChainWriter left at path,
+// applying the longest valid prefix of its delta log: the newest state
+// the chain intactly reaches. A torn final append (the crash the log
+// exists to survive) costs at most one save interval.
 func RestoreSimFromFile(path string) (*Sim, error) {
-	blob, err := os.ReadFile(path)
+	blob, err := snap.ReadChain(path)
 	if err != nil {
 		return nil, err
-	}
-	if frames := snap.ReadFrameLog(deltaLogPath(path)); len(frames) > 0 {
-		if tip, _, err := snap.ApplyChainPrefix(blob, frames...); err == nil {
-			blob = tip
-		}
 	}
 	return RestoreSim(blob)
 }

@@ -202,7 +202,7 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	}
 	s.Run(11000)
 	path := filepath.Join(t.TempDir(), "mid.ckpt")
-	if err := s.WriteCheckpoint(path); err != nil {
+	if err := (&adaptnoc.ChainWriter{Path: path}).Save(s); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {

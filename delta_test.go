@@ -94,6 +94,44 @@ func TestDeltaChainWithFaults(t *testing.T) {
 	}
 }
 
+// TestDeltaChainAcrossFaultSchedule: a schedule applied between links
+// changes the config, so the next frame must carry the new config section
+// — a frame that kept the old one would apply cleanly and then fail to
+// restore, its fault section unknown to the config it rebuilt from.
+func TestDeltaChainAcrossFaultSchedule(t *testing.T) {
+	s, err := adaptnoc.NewSim(chkConfig(adaptnoc.DesignBaseline))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Run(2000)
+	base, err := s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ApplyFaultSchedule([]fault.Event{{Cycle: 5000, Kind: fault.KindLink, Router: 1, Port: noc.PortEast}}); err != nil {
+		t.Fatal(err)
+	}
+	s.Run(1000)
+	frame, err := s.CheckpointDeltaChained()
+	if err != nil {
+		t.Fatal(err)
+	}
+	applied, err := snap.ApplyChain(base, frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(applied, full) {
+		t.Fatal("frame after ApplyFaultSchedule does not reconstruct the full checkpoint")
+	}
+	if _, err := adaptnoc.RestoreSim(applied); err != nil {
+		t.Fatalf("restoring across the schedule change: %v", err)
+	}
+}
+
 // TestDeltaResumeByteIdentical restores a chain-reconstructed blob in a
 // fresh sim and requires the resumed run to match the uninterrupted one.
 func TestDeltaResumeByteIdentical(t *testing.T) {
@@ -291,16 +329,16 @@ func TestChainWriterRoundTrip(t *testing.T) {
 	})
 }
 
-// TestChainWriterRebases: the log truncates at the MaxDeltas threshold,
-// and a foreign Checkpoint between saves forces a rebase instead of an
-// unappliable frame.
+// TestChainWriterRebases: a foreign Checkpoint between saves forces a
+// rebase instead of an unappliable frame. (The frame-bound rebase is
+// internal/snap's TestChainRebasesAtBound.)
 func TestChainWriterRebases(t *testing.T) {
 	s, err := adaptnoc.NewSim(chkConfig(adaptnoc.DesignAdaptNoC))
 	if err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "roll.ckpt")
-	cw := &adaptnoc.ChainWriter{Path: path, MaxDeltas: 2}
+	cw := &adaptnoc.ChainWriter{Path: path}
 	save := func() {
 		t.Helper()
 		s.Run(1000)
@@ -310,17 +348,8 @@ func TestChainWriterRebases(t *testing.T) {
 	}
 	save() // full @1000
 	save() // delta 1
-	save() // delta 2
-	save() // threshold: rebase @4000
-	if _, err := os.Stat(path + ".delta"); !os.IsNotExist(err) {
-		t.Fatalf("rebase did not remove the delta log: %v", err)
-	}
-	r, err := adaptnoc.RestoreSimFromFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if now := r.Kernel.Now(); now != 4000 {
-		t.Fatalf("restored clock at %d, want 4000 after rebase", now)
+	if _, err := os.Stat(path + ".delta"); err != nil {
+		t.Fatalf("second save appended no frame: %v", err)
 	}
 
 	// A checkpoint taken outside the writer advances the sim's delta
@@ -329,15 +358,15 @@ func TestChainWriterRebases(t *testing.T) {
 	if _, err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	save() // @5500: lineage broken, expect a fresh full base
+	save() // @3500: lineage broken, expect a fresh full base
 	if _, err := os.Stat(path + ".delta"); !os.IsNotExist(err) {
 		t.Fatal("broken-lineage save appended a frame instead of rebasing")
 	}
-	r, err = adaptnoc.RestoreSimFromFile(path)
+	r, err := adaptnoc.RestoreSimFromFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if now := r.Kernel.Now(); now != 5500 {
-		t.Fatalf("restored clock at %d, want 5500", now)
+	if now := r.Kernel.Now(); now != 3500 {
+		t.Fatalf("restored clock at %d, want 3500", now)
 	}
 }

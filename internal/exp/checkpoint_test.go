@@ -63,7 +63,7 @@ func TestRunDesignCheckpointResumeIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Run(11000)
-	if err := s.WriteCheckpoint(path); err != nil {
+	if err := (&adaptnoc.ChainWriter{Path: path}).Save(s); err != nil {
 		t.Fatal(err)
 	}
 	got, err = res.runDesign(ctx, adaptnoc.DesignAdaptNoC, apps)

@@ -25,14 +25,17 @@ func runFaultTable(t *testing.T, o Options) []byte {
 // TestGoldenFaultTable locks the fault-sweep table to
 // testdata/golden_faults.txt and proves the table is byte-identical
 // across -parallel and -shards settings (execution knobs must never leak
-// into fault outcomes). Refresh intentionally with:
+// into fault outcomes); the default run goes through restoreTripwire.
+// Refresh intentionally with:
 //
 //	go test ./internal/exp -run TestGoldenFaultTable -update
 func TestGoldenFaultTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden fault run is a 21-simulation sweep")
 	}
-	got := runFaultTable(t, goldenOptions())
+	o := goldenOptions()
+	o.Eval = restoreTripwire(t, o)
+	got := runFaultTable(t, o)
 
 	o2 := goldenOptions()
 	o2.Parallelism = 1

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+
+	"adaptnoc/internal/snap"
 )
 
 // handoffBytes bounds the in-memory handoff store (Server.handoff), so a
@@ -73,7 +75,7 @@ func (st *ckptStore) sweep() {
 		if e.IsDir() {
 			continue
 		}
-		if strings.HasSuffix(name, ".tmp") || strings.HasSuffix(name, ".delta") {
+		if snap.IsChainFile(name) {
 			os.Remove(filepath.Join(st.dir, name))
 			continue
 		}

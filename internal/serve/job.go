@@ -90,10 +90,12 @@ type job struct {
 	// chain: a full base blob plus the frames extending it, oldest first.
 	// snapTip names the chain's endpoint by body hash so a fetcher that
 	// already holds an earlier link can ask for just the frames after it.
+	// chain is the producer side, touched only by the job's worker.
 	snapBase      []byte
 	snapFrames    [][]byte
 	snapTip       [32]byte
 	snapshotCycle int64
+	chain         snap.Chain
 	leaseTimer    *time.Timer // cancels the job when the lease lapses
 
 	events httpkit.Log[Event] // progress; closed on reaching a terminal state
@@ -160,36 +162,23 @@ func (j *job) renewLease() bool {
 // rebases.
 const maxShadowDeltas = 16
 
-// shadow records the simulation's current state in the job's rolling
-// chain: a cheap delta frame extending the previous shadow when the chain
-// lineage is intact, a full rebase otherwise (first shadow, chain at its
-// length bound, or a lineage break). Called only by the job's own worker,
-// once per progress slice.
+// shadow records the simulation's current state as the next link of the
+// job's rolling chain (snap.Chain decides between a delta frame and a
+// rebase). Called only by the job's own worker, once per progress slice.
 func (j *job) shadow(simu *adaptnoc.Sim) {
-	cycle := int64(simu.Kernel.Now())
-	j.mu.Lock()
-	haveBase, nFrames, tip := j.snapBase != nil, len(j.snapFrames), j.snapTip
-	j.mu.Unlock()
-	if haveBase && nFrames < maxShadowDeltas {
-		if frame, err := simu.CheckpointDeltaChained(); err == nil {
-			if fBase, fTip, herr := snap.DeltaHashes(frame); herr == nil && fBase == tip {
-				j.mu.Lock()
-				j.snapFrames = append(j.snapFrames, frame)
-				j.snapTip = fTip
-				j.snapshotCycle = cycle
-				j.mu.Unlock()
-				return
-			}
-		}
-	}
-	blob, err := simu.Checkpoint()
+	link, frame, err := j.chain.Next(simu, maxShadowDeltas)
 	if err != nil {
 		return // e.g. a shared-agent config; the job just has no shadow
 	}
-	hash, _ := simu.CheckpointBodyHash()
 	j.mu.Lock()
-	j.snapBase, j.snapFrames, j.snapTip, j.snapshotCycle = blob, nil, hash, cycle
-	j.mu.Unlock()
+	defer j.mu.Unlock()
+	if frame {
+		j.snapFrames = append(j.snapFrames, link)
+	} else {
+		j.snapBase, j.snapFrames = link, nil
+	}
+	j.snapTip, _ = simu.CheckpointBodyHash() // the link just taken
+	j.snapshotCycle = int64(simu.Kernel.Now())
 }
 
 // snapshotChain returns the shadowed chain: the full base blob, the delta

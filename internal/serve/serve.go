@@ -255,7 +255,7 @@ func (s *Server) saveCheckpoint(ctx context.Context, j *job, simu *adaptnoc.Sim,
 	if path == "" || ctx.Err() == nil {
 		return
 	}
-	if err := simu.WriteCheckpoint(path); err == nil {
+	if err := (&adaptnoc.ChainWriter{Path: path}).Save(simu); err == nil {
 		s.ckpts.note(j.key)
 		j.mu.Lock()
 		j.checkpointed = true
@@ -479,7 +479,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	}
 	if baseHex := r.URL.Query().Get("base"); baseHex != "" {
 		if want, err := hex.DecodeString(baseHex); err == nil && len(want) == len(tip) {
-			if suffix, ok := chainSuffix(base, frames, [32]byte(want)); ok {
+			if suffix, ok := snap.FramesAfter(base, frames, [32]byte(want)); ok {
 				w.Header().Set("Content-Type", "application/octet-stream")
 				w.Header().Set("X-Checkpoint-Format", "delta-chain")
 				w.Header().Set("X-Checkpoint-Cycle", fmt.Sprintf("%d", cycle))
@@ -499,22 +499,6 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeFullCheckpoint(w, blob, cycle)
-}
-
-// chainSuffix locates the chain position whose body hash is want and
-// returns the frames after it — empty when want is the tip itself. ok is
-// false when no position matches (the caller's copy predates the chain's
-// base, so only a full blob can help them).
-func chainSuffix(base []byte, frames [][]byte, want [32]byte) ([][]byte, bool) {
-	if body, err := snap.OpenBody(base); err == nil && snap.BodyHash(body) == want {
-		return frames, true
-	}
-	for i, f := range frames {
-		if _, result, err := snap.DeltaHashes(f); err == nil && result == want {
-			return frames[i+1:], true
-		}
-	}
-	return nil, false
 }
 
 // writeFullCheckpoint writes a complete checkpoint blob with the headers

@@ -592,32 +592,3 @@ func ApplyChain(base []byte, frames ...[]byte) ([]byte, error) {
 func ApplyDelta(base, frame []byte) ([]byte, error) {
 	return ApplyChain(base, frame)
 }
-
-// ApplyChainPrefix applies the longest valid prefix of a frame chain and
-// reports how many frames it consumed. Crash recovery uses it: an
-// append-only delta log can end in a torn or superseded frame, and the
-// right answer is the last state the intact prefix reaches, not an error.
-// Applying zero frames returns the base unchanged. The error is non-nil
-// only when the base blob itself cannot be opened.
-func ApplyChainPrefix(base []byte, frames ...[]byte) ([]byte, int, error) {
-	if len(frames) == 0 {
-		return base, 0, nil
-	}
-	body, err := OpenBody(base)
-	if err != nil {
-		return nil, 0, err
-	}
-	applied := 0
-	for _, f := range frames {
-		next, err := applyBody(body, f)
-		if err != nil {
-			break
-		}
-		body = next
-		applied++
-	}
-	if applied == 0 {
-		return base, 0, nil
-	}
-	return Seal(body), applied, nil
-}

@@ -4,7 +4,7 @@
 // as one SnapState description that both encodes and decodes. The
 // error-returning Reader methods are the primitive layer under the Codec
 // and what the framings use directly (blobs and sections here, delta
-// frames in delta.go, the frame log in chainlog.go).
+// frames in delta.go, the rolling chain and its frame log in chain.go).
 //
 // The format is deliberately primitive — fixed-width integers, varint
 // lengths, length-prefixed byte strings, and named length-prefixed
@@ -17,7 +17,8 @@
 // bounds-checked against the bytes actually remaining before any
 // allocation happens, so a truncated or corrupted blob produces an error,
 // never a panic or a multi-gigabyte allocation. The fuzz targets
-// (FuzzRestoreSim, FuzzCodecDecode, FuzzDecodeDelta) lean on this.
+// (FuzzRestoreSim, FuzzCodecDecode, FuzzDecodeDelta, FuzzReadChain) lean
+// on this.
 package snap
 
 import (
@@ -369,16 +370,17 @@ func (r *Reader) Done() error {
 	return nil
 }
 
-// Seal frames a body as a complete blob: magic, current format version,
-// then the gzip-compressed body. Go's gzip output is deterministic for a
-// given input (no timestamp: the header's ModTime is zero and the OS byte
-// is fixed), so sealing the same body always yields the same bytes —
-// checkpoint blobs stay content-addressable.
-func Seal(body []byte) []byte {
+// SealAs frames a body as a complete blob of one kind: its magic, a u32
+// format version, then the gzip-compressed body. Go's gzip output is
+// deterministic for a given input (no timestamp: the header's ModTime is
+// zero and the OS byte is fixed), so sealing the same body always yields
+// the same bytes — blobs stay content-addressable. Checkpoints and
+// dependency traces (internal/traffic) share this framing.
+func SealAs(magic string, version uint32, body []byte) []byte {
 	var out bytes.Buffer
-	out.WriteString(Magic)
+	out.WriteString(magic)
 	var ver [4]byte
-	binary.LittleEndian.PutUint32(ver[:], Version)
+	binary.LittleEndian.PutUint32(ver[:], version)
 	out.Write(ver[:])
 	zw := gzip.NewWriter(&out)
 	zw.OS = 255 // "unknown", the deterministic choice
@@ -391,25 +393,28 @@ func Seal(body []byte) []byte {
 	return out.Bytes()
 }
 
-// OpenBody verifies a blob's magic and version and returns the decoded
-// body bytes, decompressed. Other versions and malformed compression are
-// corruption errors, and the decompressed size is capped so a malicious
-// blob cannot demand an arbitrary allocation.
-func OpenBody(blob []byte) ([]byte, error) {
+// Seal is SealAs for a checkpoint blob at the current format version.
+func Seal(body []byte) []byte { return SealAs(Magic, Version, body) }
+
+// OpenAs verifies a blob's magic and version and returns the decoded
+// body bytes, decompressed: the inverse of SealAs. Other versions and
+// malformed compression are corruption errors, and the decompressed size
+// is capped so a malicious blob cannot demand an arbitrary allocation.
+func OpenAs(magic string, version uint32, blob []byte) ([]byte, error) {
 	r := NewReader(blob)
-	if r.Len() < len(Magic) {
+	if r.Len() < len(magic) {
 		return nil, r.corrupt("truncated magic")
 	}
-	if string(r.buf[r.off:r.off+len(Magic)]) != Magic {
+	if string(r.buf[r.off:r.off+len(magic)]) != magic {
 		return nil, r.corrupt("bad magic")
 	}
-	r.off += len(Magic)
+	r.off += len(magic)
 	v, err := r.U32()
 	if err != nil {
 		return nil, err
 	}
-	if v != Version {
-		return nil, r.corrupt(fmt.Sprintf("format version %d, want %d", v, Version))
+	if v != version {
+		return nil, r.corrupt(fmt.Sprintf("format version %d, want %d", v, version))
 	}
 	zr, err := gzip.NewReader(bytes.NewReader(r.Rest()))
 	if err != nil {
@@ -427,6 +432,9 @@ func OpenBody(blob []byte) ([]byte, error) {
 	}
 	return body, nil
 }
+
+// OpenBody is OpenAs for a checkpoint blob.
+func OpenBody(blob []byte) ([]byte, error) { return OpenAs(Magic, Version, blob) }
 
 // Open is OpenBody returning a Reader over the body.
 func Open(blob []byte) (*Reader, error) {

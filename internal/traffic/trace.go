@@ -8,16 +8,12 @@ package traffic
 // fabric delays dependents instead of injecting an impossible schedule —
 // while staying fully deterministic.
 //
-// Framing mirrors the checkpoint codec: magic + version + a
+// Framing is the checkpoint codec's (snap.SealAs): magic + version + a
 // gzip-compressed snap-section body, with every length bounds-checked
 // before allocation (the trace decoder has its own fuzz target).
 
 import (
-	"bytes"
-	"compress/gzip"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"sort"
 
 	"adaptnoc/internal/noc"
@@ -36,7 +32,6 @@ const (
 // Decode-side caps: a trace travels inside configs and over the serving
 // API, so a few bytes must not be able to demand gigabytes.
 const (
-	maxTraceBody    = 1 << 28
 	maxTraceApps    = 64
 	maxTraceNodes   = 1 << 24
 	maxNodeDeps     = 16
@@ -228,51 +223,17 @@ func EncodeTrace(t *Trace) ([]byte, error) {
 		body.Section("app", w.Bytes())
 	}
 
-	var out bytes.Buffer
-	out.WriteString(TraceMagic)
-	var ver [4]byte
-	binary.LittleEndian.PutUint32(ver[:], TraceVersion)
-	out.Write(ver[:])
-	zw := gzip.NewWriter(&out)
-	zw.OS = 255 // "unknown", the deterministic choice
-	if _, err := zw.Write(body.Bytes()); err != nil {
-		panic(fmt.Sprintf("traffic: gzip to memory failed: %v", err)) // cannot happen
-	}
-	if err := zw.Close(); err != nil {
-		panic(fmt.Sprintf("traffic: gzip to memory failed: %v", err))
-	}
-	return out.Bytes(), nil
+	return snap.SealAs(TraceMagic, TraceVersion, body.Bytes()), nil
 }
 
 // DecodeTrace parses and validates a trace blob. It is safe on
 // adversarial input: every count is bounds-checked before allocation and
 // the decompressed size is capped.
 func DecodeTrace(blob []byte) (*Trace, error) {
-	if len(blob) < len(TraceMagic)+4 {
-		return nil, corruptf("trace too short")
-	}
-	if string(blob[:len(TraceMagic)]) != TraceMagic {
-		return nil, corruptf("bad trace magic")
-	}
-	ver := binary.LittleEndian.Uint32(blob[len(TraceMagic):])
-	if ver != TraceVersion {
-		return nil, corruptf("trace version %d, want %d", ver, TraceVersion)
-	}
-	zr, err := gzip.NewReader(bytes.NewReader(blob[len(TraceMagic)+4:]))
+	bodyBytes, err := snap.OpenAs(TraceMagic, TraceVersion, blob)
 	if err != nil {
-		return nil, corruptf("bad trace body: %v", err)
+		return nil, corruptf("trace framing: %v", err)
 	}
-	bodyBytes, err := io.ReadAll(io.LimitReader(zr, maxTraceBody+1))
-	if cerr := zr.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return nil, corruptf("bad trace body: %v", err)
-	}
-	if len(bodyBytes) > maxTraceBody {
-		return nil, corruptf("trace body exceeds %d bytes", maxTraceBody)
-	}
-
 	r := snap.NewReader(bodyBytes)
 	mr, err := r.Section("meta")
 	if err != nil {
@@ -339,6 +300,9 @@ func decodeTraceApp(r *snap.Reader, a *TraceApp) error {
 		if err != nil {
 			return err
 		}
+		if int64(int32(v)) != v {
+			return corruptf("MC %d: tile %d overflows", i, v)
+		}
 		a.MCs[i] = int32(v)
 	}
 	// Minimum node encoding: flags + src + dst + gap + dep count + four
@@ -370,6 +334,9 @@ func decodeTraceApp(r *snap.Reader, a *TraceApp) error {
 		dst, err := r.Varint()
 		if err != nil {
 			return err
+		}
+		if int64(int32(src)) != src || int64(int32(dst)) != dst {
+			return corruptf("node %d: endpoint %d -> %d overflows", ni, src, dst)
 		}
 		n.Src, n.Dst = int32(src), int32(dst)
 		gap, err := r.Uvarint()

@@ -100,6 +100,33 @@ func TestEncodeTraceRejects(t *testing.T) {
 	}
 }
 
+// wideVarintTrace hand-builds a one-node blob with the given MC tile and
+// src. Values that fit a varint but not the int32 they decode into must be
+// rejected: truncated, 2^32 and 2^32+1 would read as the valid MC 0 and
+// src 1, a trace that re-encodes to other bytes.
+func wideVarintTrace(mc, src int64) []byte {
+	var meta, app, body snap.Writer
+	meta.Int(8)
+	meta.Int(8)
+	meta.Uvarint(1)
+	body.Section("meta", meta.Bytes())
+	app.String("bfs")
+	for _, v := range []int{0, 0, 4, 4} {
+		app.Int(v)
+	}
+	app.Uvarint(1)
+	app.Varint(mc)
+	app.Uvarint(1)
+	app.Uvarint(0) // flags
+	app.Varint(src)
+	app.Varint(5) // dst
+	for range 6 { // gap, dep count, four stat deltas
+		app.Uvarint(0)
+	}
+	body.Section("app", app.Bytes())
+	return snap.SealAs(TraceMagic, TraceVersion, body.Bytes())
+}
+
 func TestDecodeTraceRejects(t *testing.T) {
 	valid, err := EncodeTrace(testTrace())
 	if err != nil {
@@ -115,6 +142,9 @@ func TestDecodeTraceRejects(t *testing.T) {
 		{"bad version", append(append([]byte(nil), valid[:8]...), append([]byte{99, 0, 0, 0}, valid[12:]...)...)},
 		{"truncated body", valid[:len(valid)-3]},
 		{"garbage body", append(append([]byte(nil), valid[:12]...), 1, 2, 3, 4)},
+		{"wide varints", wideVarintTrace(1<<32, 1<<32+1)},
+		{"wide mc", wideVarintTrace(1<<32, 1)},
+		{"wide src", wideVarintTrace(0, 1<<32+1)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -350,6 +380,7 @@ func FuzzDecodeTrace(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(big)
+	f.Add(wideVarintTrace(1<<32, 1<<32+1))
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		tr, err := DecodeTrace(blob)
 		if err != nil {

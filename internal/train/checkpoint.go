@@ -6,17 +6,15 @@ package train
 // that counter and the Options, so a resumed run replays the exact
 // trajectory the uninterrupted run would have taken.
 //
-// Saves form a rolling delta chain like the simulation checkpoints: the
-// first save (and every maxChain-th) writes a full blob, the rest append
-// a delta frame to path+".delta". Agent weights churn densely between
-// episodes, so training deltas win less than simulation deltas do, but
-// the replay buffer's surviving entries and the unchanged target net
-// still COPY, and the chain keeps every episode boundary recoverable for
-// the cost of appends.
+// Saves form a rolling snap.Chain like the simulation checkpoints: a full
+// blob first (and after every maxChain frames), delta frames in between.
+// Agent weights churn densely between episodes, so training deltas win
+// less than simulation deltas do, but the replay buffer's surviving
+// entries and the unchanged target net still COPY, and the chain keeps
+// every episode boundary recoverable for the cost of appends.
 
 import (
 	"fmt"
-	"os"
 
 	"adaptnoc/internal/rl"
 	"adaptnoc/internal/snap"
@@ -25,62 +23,25 @@ import (
 // maxChain bounds the delta log length before a rebase.
 const maxChain = 16
 
-// chain is the producer state of the rolling checkpoint at path.
-type chain struct {
-	path     string
-	prev     []snap.DeltaSection
-	prevHash [32]byte
-	deltas   int
-}
-
-func agentSections(agent *rl.DQN, episode int) []snap.DeltaSection {
+// agentSections is the checkpoint body: the episode counter, then the
+// agent's learning state, written over the storage of a retired section.
+func agentSections(retired snap.DeltaSection, agent *rl.DQN, episode int) []snap.DeltaSection {
 	var tw snap.Writer
+	tw.ResetWith(retired.Body, retired.Parts)
 	tw.Uvarint(uint64(episode))
 	agent.Snapshot(&tw)
 	return []snap.DeltaSection{{Name: "train", Body: tw.Bytes(), Parts: tw.Parts()}}
 }
 
-// save persists the agent and episode counter: a full blob on the first
-// call and at the rebase threshold, a delta frame otherwise.
-func (c *chain) save(agent *rl.DQN, episode int) error {
-	secs := agentSections(agent, episode)
-	body := snap.JoinSections(secs)
-	hash := snap.BodyHash(body)
-	if c.prev != nil && c.deltas < maxChain {
-		frame := snap.EncodeDelta(c.prev, secs, c.prevHash, hash)
-		if err := snap.AppendFrame(c.path+".delta", frame); err != nil {
-			return err
-		}
-		c.deltas++
-	} else {
-		tmp := c.path + ".tmp"
-		if err := os.WriteFile(tmp, snap.Seal(body), 0o644); err != nil {
-			return err
-		}
-		if err := os.Rename(tmp, c.path); err != nil {
-			return err
-		}
-		os.Remove(c.path + ".delta") // described the old base; best-effort
-		c.deltas = 0
-	}
-	c.prev, c.prevHash = secs, hash
-	return nil
-}
-
-// loadCheckpoint overlays a state written by save onto an agent
+// loadCheckpoint overlays a state Train saved onto an agent
 // constructed with the same configuration and returns the number of
-// episodes already completed. A delta log beside the file is applied to
-// its longest valid prefix first. A missing file passes through
-// os.IsNotExist so callers can treat it as a fresh start.
+// episodes already completed, from the newest state the chain intactly
+// reaches. A missing file passes through os.IsNotExist so callers can
+// treat it as a fresh start.
 func loadCheckpoint(path string, agent *rl.DQN) (int, error) {
-	blob, err := os.ReadFile(path)
+	blob, err := snap.ReadChain(path)
 	if err != nil {
 		return 0, err
-	}
-	if frames := snap.ReadFrameLog(path + ".delta"); len(frames) > 0 {
-		if tip, _, err := snap.ApplyChainPrefix(blob, frames...); err == nil {
-			blob = tip
-		}
 	}
 	r, err := snap.Open(blob)
 	if err != nil {

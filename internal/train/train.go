@@ -15,6 +15,7 @@ import (
 	"adaptnoc"
 	"adaptnoc/internal/rl"
 	"adaptnoc/internal/sim"
+	"adaptnoc/internal/snap"
 	"adaptnoc/internal/traffic"
 )
 
@@ -128,13 +129,16 @@ func Train(o Options) (*rl.DQN, error) {
 	if every <= 0 {
 		every = 1
 	}
-	ckpt := &chain{path: o.CheckpointPath}
 
 	// The loop is driven by a single global episode counter so a resumed
 	// run lands on the identical curriculum entry, seed, and epsilon the
 	// uninterrupted run would have used.
 	saved := start
 	n := start
+	var chain snap.Chain
+	src := new(snap.SectionSource)
+	src.Walk = func() ([]snap.DeltaSection, error) { return agentSections(src.Reuse("train"), agent, n), nil }
+	save := func() error { return chain.Save(o.CheckpointPath, maxChain, src) }
 	for n < total {
 		if o.MaxEpisodes > 0 && n-start >= o.MaxEpisodes {
 			break
@@ -157,14 +161,14 @@ func Train(o Options) (*rl.DQN, error) {
 				n, total, ep.Profile, ep.Region, agent.Cfg.Epsilon, agent.Replay.Len(), td)
 		}
 		if o.CheckpointPath != "" && n-saved >= every {
-			if err := ckpt.save(agent, n); err != nil {
+			if err := save(); err != nil {
 				return nil, fmt.Errorf("train: checkpointing: %w", err)
 			}
 			saved = n
 		}
 	}
 	if o.CheckpointPath != "" && n > saved {
-		if err := ckpt.save(agent, n); err != nil {
+		if err := save(); err != nil {
 			return nil, fmt.Errorf("train: checkpointing: %w", err)
 		}
 	}

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"adaptnoc"
+	"adaptnoc/internal/sim"
 )
 
 var updateTraceGolden = flag.Bool("update-trace-golden", false,
@@ -75,13 +76,30 @@ const traceTestMaxCycles = 200000
 // TestGoldenTraceReplay locks the record→replay pipeline to
 // testdata/golden_trace_replay.json: the recorded blob is rebuilt from
 // scratch each run (the recorder is deterministic), replayed to
-// completion, and the replay's results JSON must match the golden bytes.
-// Refresh intentionally with:
+// completion through a checkpoint round trip, and the replay's results
+// JSON must match the golden bytes. Refresh intentionally with:
 //
 //	go test -run TestGoldenTraceReplay -update-trace-golden
 func TestGoldenTraceReplay(t *testing.T) {
 	blob := recordMixedTrace(t, 6000)
 	s := replaySim(t, blob)
+	// Tripwire: at a seeded cycle mid-replay, checkpoint, restore, and
+	// re-checkpoint; the blobs must match, and the golden results below
+	// come from the restored sim.
+	cut := 1 + adaptnoc.Cycle(sim.NewRNG(2021).Intn(5999))
+	if s.RunUntilFinished(cut) {
+		t.Fatalf("replay finished before the tripwire cycle %d", cut)
+	}
+	ckpt, err := s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s, err = adaptnoc.RestoreSim(ckpt); err != nil {
+		t.Fatalf("tripwire at cycle %d: %v", cut, err)
+	}
+	if again, err := s.Checkpoint(); err != nil || !bytes.Equal(ckpt, again) {
+		t.Fatalf("tripwire at cycle %d: re-checkpoint of the restored replay differs (err %v)", cut, err)
+	}
 	if !s.RunUntilFinished(traceTestMaxCycles) {
 		t.Fatal("replay did not drain")
 	}
