@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"adaptnoc/internal/sim"
@@ -290,6 +291,9 @@ func (n *Network) attachLocalPort(router NodeID, port int, tiles []NodeID, laten
 		n.attach[t] = router
 	}
 	inj := newInjector(r, port, injCh, nis, withEjection)
+	for _, ni := range nis {
+		ni.injs = append(ni.injs, inj)
+	}
 	injCh.srcInj = inj
 	n.injectors[injKey{router, port}] = inj
 	n.carveDirty = true
@@ -324,6 +328,7 @@ func (n *Network) DetachLocal(router NodeID) {
 				panic(fmt.Sprintf("noc: detaching NI %d mid-packet", st.ni.ID))
 			}
 			n.attach[st.ni.ID] = -1
+			st.ni.injs = slices.DeleteFunc(st.ni.injs, func(x *injector) bool { return x == inj })
 		}
 		if inj.ch.Busy() {
 			panic(fmt.Sprintf("noc: detaching router %d local port %d with traffic in flight", router, port))

@@ -63,6 +63,11 @@ type NI struct {
 	// reconfiguration (a mid-stream packet always finishes first).
 	gated bool
 
+	// injs are the injectors serving this NI (the tree root's extra
+	// injection ports included), kept by attach and detach so enqueue can
+	// wake them without allocating.
+	injs []*injector
+
 	// Activity window (injection-port metrics for Table I).
 	act NIActivity
 }
@@ -104,11 +109,18 @@ func (n *NI) TakeActivity() NIActivity {
 	return a
 }
 
-// enqueue appends a packet to its vnet queue.
+// enqueue appends a packet to its vnet queue and wakes every injector
+// serving the NI: a queued packet is the only work that can reach a parked
+// injector. Enqueue runs only in serial phases — between ticks, or in the
+// delivery replay at Tick's barrier — never beside a region worker, so the
+// wake may write any region's injector set.
 func (n *NI) enqueue(p *Packet, now sim.Cycle) {
 	p.EnqueuedAt = now
 	n.queues[p.VNet].push(p)
 	n.act.EnqueuedPackets++
+	for _, inj := range n.injs {
+		inj.wake()
+	}
 }
 
 // scanDepth bounds how far past a blocked head the injector may look for a
@@ -188,6 +200,8 @@ type injector struct {
 	// state.
 	poolIdx int
 	reg     *shardRegion
+	// idx is the injector's position in reg.injs, its bit in reg.injAwake.
+	idx int
 }
 
 func newInjector(r *Router, port int, ch *Channel, nis []*NI, primary bool) *injector {
@@ -211,8 +225,20 @@ func (inj *injector) receiveCredit(vc int) {
 	}
 }
 
-// tick sends at most one flit from one attached NI into the local port.
-func (inj *injector) tick(now sim.Cycle) {
+// wake puts the injector back in its region's tick set. An injector not
+// yet carved has no region; the pending carve arms it.
+func (inj *injector) wake() {
+	if inj.reg != nil {
+		inj.reg.injAwake[inj.idx>>6] |= 1 << (inj.idx & 63)
+	}
+}
+
+// tick sends at most one flit from one attached NI into the local port and
+// reports whether the injector may park: no open stream and every NI it
+// serves empty (QueueLen counts other ports' open streams too). Until the
+// next enqueue a parked injector's tick would change nothing — its
+// occupancy term is 0 and no stream can start — so skipping it is exact.
+func (inj *injector) tick(now sim.Cycle) (idle bool) {
 	if inj.primary {
 		for _, st := range inj.streams {
 			st.ni.act.QueueOccupancySum += int64(st.ni.QueueLen())
@@ -223,9 +249,15 @@ func (inj *injector) tick(now sim.Cycle) {
 		st := inj.streams[(inj.rr+off)%n]
 		if inj.trySend(st, now) {
 			inj.rr = (inj.rr + off + 1) % n
-			return
+			break
 		}
 	}
+	for _, st := range inj.streams {
+		if st.cur != nil || st.ni.QueueLen() != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // tryStart claims a local-input VC for the next startable queued packet

@@ -55,6 +55,32 @@ func TestSteadyStateShardedTickZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestWakeFromParkZeroAllocs extends the allocation contract to the
+// injector wake path: from a drained network whose injectors have all
+// parked, one Enqueue wakes its NI's injector, the packet crosses the chip
+// and the network drains and parks again — without an allocation.
+func TestWakeFromParkZeroAllocs(t *testing.T) {
+	net, _, _ := steadyState(0)
+	var now sim.Cycle
+	delivered := 0
+	net.SetDeliverFunc(func(*noc.Packet, sim.Cycle) { delivered++ })
+	roundTrip := func() {
+		net.Enqueue(net.NewPacket(0, 63, noc.ClassData, noc.VNetReply, 0), now)
+		for i := 0; i < 100; i++ {
+			net.Tick(now)
+			now++
+		}
+	}
+	roundTrip() // first carve, arena slabs
+	const runs = 50
+	if avg := testing.AllocsPerRun(runs, roundTrip); avg != 0 {
+		t.Fatalf("park → wake → drain allocates %.2f times per round trip, want 0", avg)
+	}
+	if delivered != runs+2 || !net.Quiescent() || net.PendingPackets() != 0 {
+		t.Fatalf("%d of %d round trips delivered, quiescent=%v", delivered, runs+2, net.Quiescent())
+	}
+}
+
 // TestPoolRecyclingReachesSteadyState proves the arena stops carving new
 // memory once warmed: under constant closed-loop load, every NewPacket is
 // served from the free lists and the carve counters freeze.

@@ -285,22 +285,11 @@ func PortDim(port int) int8 {
 func (r *Router) vcIndex(v VNet, k int) int { return int(v)*r.cfg.VCsPerVNet + k }
 
 // SetTable installs the routing table for a virtual network, effective
-// immediately. Use SetTableAfter during reconfiguration to model Ts.
+// immediately.
 func (r *Router) SetTable(v VNet, t *RoutingTable) { r.tables[v] = t }
 
 // Table returns the current routing table for a virtual network.
 func (r *Router) Table(v VNet) *RoutingTable { return r.tables[v] }
-
-// SetTableAfter installs a table and makes route computation unavailable
-// for setup cycles (the paper's Ts=14-cycle connection setup, Section IV-A).
-func (r *Router) SetTableAfter(v VNet, t *RoutingTable, now sim.Cycle, setup int) {
-	r.snapClean = false
-	r.tables[v] = t
-	ready := now + sim.Cycle(setup)
-	if ready > r.tableReadyAt {
-		r.tableReadyAt = ready
-	}
-}
 
 // StallTables makes route computation unavailable for the next setup
 // cycles without changing the tables — the Ts connection-setup window of
@@ -400,12 +389,6 @@ func (r *Router) TakeActivity() RouterActivity {
 	a := r.act
 	r.act = RouterActivity{}
 	return a
-}
-
-// PeekActivity returns the current window without resetting.
-func (r *Router) PeekActivity() RouterActivity {
-	r.syncIdle(r.net.lastTick)
-	return r.act
 }
 
 // park takes the router off the active list after a cycle in which it did
@@ -541,24 +524,8 @@ func (r *Router) outVCRange(p *Packet, class int) (lo, hi int) {
 	return lo, hi
 }
 
-// allowedOutVCs iterates the VCs the packet may be allocated downstream,
-// honouring vnet partitioning, dateline classes, and the VC policy. class
-// is the packet's dateline class after the hop being allocated.
-func (r *Router) allowedOutVCs(p *Packet, class int, yield func(flatVC int) bool) {
-	v := p.VNet
-	lo, hi := r.outVCRange(p, class)
-	for k := lo; k < hi; k++ {
-		if r.policy != nil && !r.policy(p, v, k) {
-			continue
-		}
-		if !yield(r.vcIndex(v, k)) {
-			return
-		}
-	}
-}
-
 // allowedInjectionVCs iterates the local-input VCs a packet may claim at
-// injection. Unlike allowedOutVCs it ignores dateline classing: the local
+// injection. It ignores dateline classing: the local
 // input buffer is not a ring resource (no route passes ring → local input
 // → ring), so restricting it cannot break a dependency cycle — the class-0
 // constraint is enforced at the first ring hop by the VA step in

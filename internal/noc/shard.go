@@ -10,6 +10,7 @@ package noc
 // itself is rebuilt by carve() whenever wiring or the shard count changes.
 
 import (
+	"math/bits"
 	"runtime"
 
 	"adaptnoc/internal/sim"
@@ -37,6 +38,11 @@ type shardRegion struct {
 	activeR  []*Router
 	wokenR   []*Router
 	injs     []*injector
+	// injAwake is the tick set over injs: bit i set means injs[i] ticks.
+	// A bitmask, not a wake list, so the set is walked in injs order —
+	// (router, port), which decides which of a tree root's ports takes
+	// which packet from their shared NI (DESIGN.md §8).
+	injAwake []uint64
 
 	// pending buffers the packets whose tail flit ejected this cycle; the
 	// barrier replays them through the delivery callback in canonical
@@ -224,11 +230,19 @@ func (n *Network) carve() {
 	// Injectors: grouping the (router, port)-sorted injection list by
 	// region preserves the global order as the concatenation of the
 	// per-region orders (a region is a contiguous ID range).
+	// Every injector starts awake; its first tick parks it if idle.
 	for _, inj := range n.injList {
 		s := inj.router.shard
 		inj.poolIdx = s
 		inj.reg = n.regions[s]
-		n.regions[s].injs = append(n.regions[s].injs, inj)
+		inj.idx = len(inj.reg.injs)
+		inj.reg.injs = append(inj.reg.injs, inj)
+	}
+	for _, reg := range n.regions {
+		reg.injAwake = reg.injAwake[:0]
+		for left := len(reg.injs); left > 0; left -= 64 {
+			reg.injAwake = append(reg.injAwake, ^uint64(0)>>(64-min(left, 64)))
+		}
 	}
 
 	// Worker gang: k-1 workers (the caller's goroutine runs region 0
@@ -289,8 +303,8 @@ func (n *Network) regionChannels(reg *shardRegion, now sim.Cycle) {
 
 // regionRouters is one region's share of the router phase: merge routers
 // woken by this cycle's deliveries (they must still tick this cycle),
-// tick the active list with park-compaction, then run the region's
-// injectors in deterministic (router, port) order.
+// tick the active list with park-compaction, then run the region's awake
+// injectors in deterministic (router, port) order, dropping those that park.
 func (n *Network) regionRouters(reg *shardRegion, now sim.Cycle) {
 	if len(reg.wokenR) > 0 {
 		reg.activeR = append(reg.activeR, reg.wokenR...)
@@ -309,7 +323,13 @@ func (n *Network) regionRouters(reg *shardRegion, now sim.Cycle) {
 	}
 	reg.activeR = keep
 
-	for _, inj := range reg.injs {
-		inj.tick(now)
+	for w, word := range reg.injAwake {
+		for word != 0 {
+			b := bits.TrailingZeros64(word)
+			word &^= 1 << b
+			if reg.injs[w<<6|b].tick(now) {
+				reg.injAwake[w] &^= 1 << b
+			}
+		}
 	}
 }

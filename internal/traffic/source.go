@@ -290,8 +290,8 @@ func (s *PhaseSource) advanceCore(ci int, c *phaseCore) {
 	c.ipcAcc -= float64(n)
 	const mask = (uint64(1) << thresholdBits) - 1
 	for i := 0; i < n; i++ {
-		ph := s.prof.Phases[c.phaseIdx]
-		th := s.thresholds[c.phaseIdx]
+		ph := &s.prof.Phases[c.phaseIdx]
+		th := &s.thresholds[c.phaseIdx]
 		c.retired++
 		s.win.Retired++
 		s.total.Retired++
@@ -337,7 +337,7 @@ func (s *PhaseSource) emitCoherence(ci int, c *phaseCore) {
 
 // emitMem buffers an L1-miss transaction: home slice (hotspot-skewed
 // striping), then the L2-miss spill decision, then the controller choice.
-func (s *PhaseSource) emitMem(ci int, c *phaseCore, ph Phase) {
+func (s *PhaseSource) emitMem(ci int, c *phaseCore, ph *Phase) {
 	lay := s.layout
 	var slice noc.NodeID
 	if ph.Hotspot > 0 && c.rng.Bernoulli(ph.Hotspot) {
