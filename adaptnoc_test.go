@@ -3,6 +3,7 @@ package adaptnoc
 import (
 	"testing"
 
+	"adaptnoc/internal/noc"
 	"adaptnoc/internal/topology"
 )
 
@@ -150,10 +151,18 @@ func TestShareMCsReachForeignControllers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The GPU app asked for one shared MC.
-	sn := s.Fabric.SubNoCs()[0]
-	if got := s.Fabric.SharedMCs(sn); len(got) != 1 {
-		t.Fatalf("GPU subNoC shares %d MCs, want 1", len(got))
+	// The GPU app asked for one shared MC: one boundary link leaves its
+	// region toward the owner's.
+	reg, w := s.Fabric.SubNoCs()[0].Region, s.Net.Cfg.Width
+	crossings := 0
+	for _, ch := range s.Net.Channels() {
+		if ch.From.Kind == noc.EndRouter && ch.To.Kind == noc.EndRouter &&
+			reg.Contains(noc.CoordOf(ch.From.Router, w)) && !reg.Contains(noc.CoordOf(ch.To.Router, w)) {
+			crossings++
+		}
+	}
+	if crossings != 1 {
+		t.Fatalf("GPU subNoC has %d links out of its region, want 1", crossings)
 	}
 	s.Run(60000)
 	res := s.Results()

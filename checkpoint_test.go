@@ -311,7 +311,7 @@ func stateHash(t *testing.T, blob []byte) string {
 	if len(secs) == 0 || secs[0].Name != "config" {
 		t.Fatalf("body does not open with the config section")
 	}
-	sum := sha256.Sum256(snap.JoinSections(secs[1:]))
+	sum := sha256.Sum256(snap.JoinSectionsInto(nil, secs[1:]))
 	return hex.EncodeToString(sum[:])
 }
 
@@ -414,7 +414,7 @@ func TestRestoreSurvivesBodyMutations(t *testing.T) {
 			restore := func(i int, mutated []byte) (*adaptnoc.Sim, error) {
 				m := append([]snap.DeltaSection(nil), secs...)
 				m[i].Body = mutated
-				return adaptnoc.RestoreSim(snap.Seal(snap.JoinSections(m)))
+				return adaptnoc.RestoreSim(snap.Seal(snap.JoinSectionsInto(nil, m)))
 			}
 			rng := rand.New(rand.NewSource(1234))
 			accepted, flips := 0, 0
@@ -447,11 +447,11 @@ func TestRestoreSurvivesBodyMutations(t *testing.T) {
 			// inside one: with the restoring prefix and where it happened.
 			renamed := append([]snap.DeltaSection(nil), secs...)
 			renamed[1].Name = "x" + renamed[1].Name
-			_, err = adaptnoc.RestoreSim(snap.Seal(snap.JoinSections(renamed)))
+			_, err = adaptnoc.RestoreSim(snap.Seal(snap.JoinSectionsInto(nil, renamed)))
 			if want := "adaptnoc: restoring " + secs[1].Name + ": "; err == nil || !strings.HasPrefix(err.Error(), want) {
 				t.Errorf("renamed section %s: error %v, want prefix %q", secs[1].Name, err, want)
 			}
-			_, err = adaptnoc.RestoreSim(snap.Seal(append(snap.JoinSections(secs), 0)))
+			_, err = adaptnoc.RestoreSim(snap.Seal(append(snap.JoinSectionsInto(nil, secs), 0)))
 			if want := "adaptnoc: restoring: after kernel: "; err == nil || !strings.HasPrefix(err.Error(), want) {
 				t.Errorf("stray byte after the last section: error %v, want prefix %q", err, want)
 			}
@@ -514,7 +514,7 @@ func TestRestoreRejectsHostilePayloadKinds(t *testing.T) {
 	restore := func(record []byte) error {
 		m := append([]snap.DeltaSection(nil), secs...)
 		m[net].Body = append(append(append([]byte(nil), orig[:at-len(kindByte)]...), record...), orig[at+len(ref):]...)
-		_, err := adaptnoc.RestoreSim(snap.Seal(snap.JoinSections(m)))
+		_, err := adaptnoc.RestoreSim(snap.Seal(snap.JoinSectionsInto(nil, m)))
 		return err
 	}
 	if err := restore(append(kindByte, ref...)); err != nil {

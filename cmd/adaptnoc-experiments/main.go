@@ -58,7 +58,7 @@ func main() {
 	figs := flag.String("fig", "all", "comma-separated figures to regenerate")
 	seed := flag.Uint64("seed", 0, "override the random seed (0 keeps the default)")
 	parallel := flag.Int("parallel", 0, "simulations to run at once (0 = one per CPU, 1 = serial)")
-	shards := flag.Int("shards", 1, "network tick shards per simulation: 1 = serial, k > 1 = k parallel row bands, 0 = auto by chip size")
+	shards := flag.Int("shards", 1, "network tick shards per simulation: 1 = serial, k > 1 = k parallel row bands")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	checkpoint := flag.String("checkpoint", "", "persist per-simulation checkpoints to this directory")
 	checkpointEvery := flag.Int64("checkpoint-every", 0, "cycles between checkpoint saves (0 = only at the end of each run)")
@@ -83,10 +83,11 @@ func main() {
 		o.Seed = *seed
 	}
 	o.Parallelism = *parallel
-	o.Shards = *shards
-	if *shards == 0 {
-		o.Shards = -1 // exp's auto-select sentinel (0 keeps the zero-value serial default)
+	if *shards < 1 {
+		fmt.Fprintln(os.Stderr, "adaptnoc-experiments: -shards must be at least 1")
+		os.Exit(2)
 	}
+	o.Shards = *shards
 	o.CheckpointDir = *checkpoint
 	o.CheckpointEvery = adaptnoc.Cycle(*checkpointEvery)
 	o.Resume = *resume

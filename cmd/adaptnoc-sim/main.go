@@ -133,7 +133,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	listProfiles := fs.Bool("profiles", false, "list available application profiles and exit")
 	width := fs.Int("width", 0, "chip width in tiles (0 = the paper's 8; multiples of 8 tile the default workload)")
 	height := fs.Int("height", 0, "chip height in tiles (0 = the paper's 8)")
-	shards := fs.Int("shards", 1, "network tick shards: 1 = serial, k > 1 = k parallel row bands, 0 = auto by chip size")
+	shards := fs.Int("shards", 1, "network tick shards: 1 = serial, k > 1 = k parallel row bands")
 	checkpoint := fs.String("checkpoint", "", "save the simulation state to this file as the run advances")
 	checkpointEvery := fs.Int64("checkpoint-every", 0, "cycles between checkpoint saves (0 = only at the end)")
 	resumeFrom := fs.String("resume", "", "restore this checkpoint and continue (workload flags are ignored)")
@@ -142,6 +142,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err == flag.ErrHelp {
 		return nil
 	} else if err != nil {
+		return errUsage
+	}
+	if *shards < 1 {
+		fmt.Fprintln(stderr, "adaptnoc-sim: -shards must be at least 1")
 		return errUsage
 	}
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -63,6 +64,15 @@ func TestRuns(t *testing.T) {
 		serial := sim(t, "", "-trace", trc, "-json")
 		if sharded := sim(t, "", "-trace", trc, "-shards", "4", "-json"); sharded != serial {
 			t.Fatalf("sharded replay differs from the serial one:\n got %s\nwant %s", sharded, serial)
+		}
+	})
+
+	// A shard count below 1 is a usage error (exit 2) with a one-line
+	// reason, not a request for some other tick mode.
+	t.Run("shards/0", func(t *testing.T) {
+		var stderr bytes.Buffer
+		if err := run([]string{"-shards", "0"}, io.Discard, &stderr); err != errUsage || !strings.Contains(stderr.String(), "-shards") {
+			t.Fatalf("-shards 0: error %v, stderr %q; want a usage error naming -shards", err, stderr.String())
 		}
 	})
 }

@@ -211,7 +211,7 @@ func TestDeltaQuiescentIsTiny(t *testing.T) {
 	if len(frame)*20 > len(full) {
 		t.Errorf("quiescent delta %d bytes not <= 1/20 of full %d bytes", len(frame), len(full))
 	}
-	applied, err := snap.ApplyDelta(full, frame)
+	applied, err := snap.ApplyChain(full, frame)
 	if err != nil {
 		t.Fatal(err)
 	}

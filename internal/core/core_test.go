@@ -147,15 +147,15 @@ func TestOSCARReallocatesVCs(t *testing.T) {
 	o.EpochCycles = 5000
 	o.Start()
 
-	if len(o.Assignment(0)) == 0 || len(o.Assignment(1)) == 0 {
+	if len(o.assignment[0]) == 0 || len(o.assignment[1]) == 0 {
 		t.Fatal("initial assignment missing")
 	}
 	k.Run(40000)
 	// The heavy app should end up with more VCs than the light one.
-	if len(o.Assignment(0)) <= len(o.Assignment(1)) {
-		t.Fatalf("heavy app got %d VCs, light got %d", len(o.Assignment(0)), len(o.Assignment(1)))
+	if len(o.assignment[0]) <= len(o.assignment[1]) {
+		t.Fatalf("heavy app got %d VCs, light got %d", len(o.assignment[0]), len(o.assignment[1]))
 	}
-	if len(o.Assignment(0))+len(o.Assignment(1)) != cfg.VCsPerVNet {
+	if len(o.assignment[0])+len(o.assignment[1]) != cfg.VCsPerVNet {
 		t.Fatalf("assignments don't partition the %d VCs", cfg.VCsPerVNet)
 	}
 	// Traffic still flows under the partition.

@@ -165,11 +165,6 @@ func (o *OSCARController) applyAssignment(newAssign map[int][]int) {
 	}
 }
 
-// Assignment returns the app's current VC set (for tests).
-func (o *OSCARController) Assignment(appID int) []int {
-	return append([]int(nil), o.assignment[appID]...)
-}
-
 func sameAssignment(a, b map[int][]int) bool {
 	if len(a) != len(b) {
 		return false

@@ -68,27 +68,6 @@ func latThroughputPoint(kind topology.Kind, reg topology.Region, pat func(topolo
 	return pt, nil
 }
 
-// LatencyThroughput sweeps open-loop injection rate for one subNoC
-// topology and returns the classic latency-throughput curve — the
-// underlying trade-off the Adapt-NoC exploits (cmesh saturates early but
-// has the lowest zero-load latency; torus/tree extend the saturation
-// point). Not a paper figure, but the standard NoC characterization any
-// user of the library will want. Points run parallelism-wide (<= 0 uses
-// every CPU); each keeps its serial seed (seed + rate index), so the
-// curve is identical at any setting.
-func LatencyThroughput(kind topology.Kind, reg topology.Region, pat func(topology.Region) traffic.Pattern,
-	rates []float64, cyclesPerPoint sim.Cycle, seed uint64, parallelism int) ([]LatThroughputPoint, error) {
-
-	idx := make([]int, len(rates))
-	for i := range idx {
-		idx[i] = i
-	}
-	return runner.Map(context.Background(), parallelism, idx,
-		func(_ context.Context, i int) (LatThroughputPoint, error) {
-			return latThroughputPoint(kind, reg, pat, rates[i], cyclesPerPoint, seed+uint64(i))
-		})
-}
-
 // CharacterizeTopologies renders latency-throughput curves for all subNoC
 // topologies under uniform traffic in a 4x4 region. The kind×rate grid is
 // flattened into one pool at the given parallelism.
@@ -120,7 +99,8 @@ func CharacterizeTopologies(cyclesPerPoint sim.Cycle, seed uint64, parallelism i
 	}
 	pts, err := runner.Map(context.Background(), parallelism, jobs,
 		func(_ context.Context, j cell) (LatThroughputPoint, error) {
-			// seed + rate index matches the serial LatencyThroughput sweep.
+			// seed + rate index: every topology sees the same stream at a
+			// given rate, whatever the pool's order.
 			return latThroughputPoint(kinds[j.kind], reg, uni, rates[j.rate], cyclesPerPoint, seed+uint64(j.rate))
 		})
 	if err != nil {

@@ -27,10 +27,13 @@ func TestLatencyThroughputMonotoneAtLowLoad(t *testing.T) {
 	uni := func(r topology.Region) traffic.Pattern {
 		return traffic.NewUniform(r.X, r.Y, r.W, r.H)
 	}
-	pts, err := LatencyThroughput(topology.Mesh, reg, uni,
-		[]float64{0.005, 0.02, 0.6}, 20000, 3, 0)
-	if err != nil {
-		t.Fatal(err)
+	var pts []LatThroughputPoint
+	for i, rate := range []float64{0.005, 0.02, 0.6} {
+		pt, err := latThroughputPoint(topology.Mesh, reg, uni, rate, 20000, 3+uint64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts = append(pts, pt)
 	}
 	if pts[0].Latency <= 0 {
 		t.Fatal("no latency at low load")
@@ -51,21 +54,20 @@ func TestCMeshSaturatesBeforeMesh(t *testing.T) {
 	uni := func(r topology.Region) traffic.Pattern {
 		return traffic.NewUniform(r.X, r.Y, r.W, r.H)
 	}
-	rates := []float64{0.12}
-	mesh, err := LatencyThroughput(topology.Mesh, reg, uni, rates, 20000, 3, 0)
+	mesh, err := latThroughputPoint(topology.Mesh, reg, uni, 0.12, 20000, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmesh, err := LatencyThroughput(topology.CMesh, reg, uni, rates, 20000, 3, 0)
+	cmesh, err := latThroughputPoint(topology.CMesh, reg, uni, 0.12, 20000, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The concentration mux quarters per-node injection bandwidth: at a
 	// rate the mesh still absorbs, cmesh must already be saturated.
-	if mesh[0].Saturated {
-		t.Fatalf("mesh unexpectedly saturated: %+v", mesh[0])
+	if mesh.Saturated {
+		t.Fatalf("mesh unexpectedly saturated: %+v", mesh)
 	}
-	if !cmesh[0].Saturated {
-		t.Fatalf("cmesh not saturated at 0.12: %+v", cmesh[0])
+	if !cmesh.Saturated {
+		t.Fatalf("cmesh not saturated at 0.12: %+v", cmesh)
 	}
 }

@@ -61,9 +61,9 @@ type Options struct {
 	// byte-identical either way.
 	Resume bool
 	// Shards sets each simulation's network-tick shard count: 1 (and the
-	// zero value) is serial, k > 1 ticks row bands on k goroutines, < 0
-	// selects automatically by chip size. Like Parallelism this is an
-	// execution knob — results are byte-identical at any setting.
+	// zero value) is serial, k > 1 ticks row bands on k goroutines. Like
+	// Parallelism this is an execution knob — results are byte-identical
+	// at any setting.
 	Shards int
 	// Eval, when set, replaces local execution for every simulation a
 	// driver would run: instead of NewSim + Run*, the driver hands the
@@ -204,12 +204,8 @@ func (o Options) evalConfig(ctx context.Context, cfg adaptnoc.Config, limit adap
 			return adaptnoc.Results{}, err
 		}
 	}
-	if o.Shards != 0 {
-		k := o.Shards
-		if k < 0 {
-			k = 0 // auto-select by chip size
-		}
-		s.SetShards(k)
+	if o.Shards > 1 {
+		s.SetShards(o.Shards)
 		// Release the shard workers once this run's results are taken;
 		// a fleet of finished simulations must not pin goroutines.
 		defer s.StopWorkers()

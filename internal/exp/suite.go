@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"adaptnoc"
@@ -153,24 +152,6 @@ func Units(p SuiteParams) ([]Unit, error) {
 		}
 	}
 	return selected, nil
-}
-
-// NormalizeFigs returns p.Figs trimmed, deduplicated, and sorted — the
-// canonical selection used when hashing a suite for identity. Validity is
-// Units' concern, not this function's.
-func NormalizeFigs(figs []string) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, f := range figs {
-		k := strings.TrimSpace(f)
-		if k == "" || seen[k] {
-			continue
-		}
-		seen[k] = true
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // RunSuite runs the selected units in order and returns every table. It is

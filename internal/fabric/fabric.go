@@ -151,25 +151,6 @@ func (f *Fabric) Allocate(app int, reg topology.Region, kind topology.Kind, mcTi
 	return sn, nil
 }
 
-// Release tears a subNoC down, freeing its tiles for reallocation. The
-// region must be quiescent (the application has finished).
-func (f *Fabric) Release(sn *SubNoC) error {
-	if !f.regionQuiescent(sn.Region) {
-		return fmt.Errorf("fabric: releasing subNoC %d with traffic in flight", sn.ID)
-	}
-	for _, sh := range f.sharesTouching(sn.Region) {
-		f.unshare(sn, sh)
-	}
-	f.teardownRegion(sn.Region)
-	for i, s := range f.subnocs {
-		if s == sn {
-			f.subnocs = append(f.subnocs[:i], f.subnocs[i+1:]...)
-			break
-		}
-	}
-	return nil
-}
-
 // Lookup returns the subNoC owning a tile, or nil.
 func (f *Fabric) Lookup(tile noc.NodeID) *SubNoC {
 	c := noc.CoordOf(tile, f.net.Cfg.Width)

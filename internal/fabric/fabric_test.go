@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"fmt"
 	"testing"
 
 	"adaptnoc/internal/deadlock"
@@ -253,61 +254,31 @@ func TestMCSharingDeliversForeignTraffic(t *testing.T) {
 	}
 }
 
-func TestReleaseFreesRegionForReuse(t *testing.T) {
-	cfg := adaptConfig()
-	net := noc.NewNetwork(cfg)
-	k := sim.NewKernel()
-	k.Register(net)
-	f := New(net, k, DefaultConfig())
-
-	reg := topology.Region{X: 0, Y: 0, W: 2, H: 4}
-	sn, err := f.Allocate(0, reg, topology.CMesh, 0)
-	if err != nil {
-		t.Fatal(err)
+// ReconfigureBlocking runs a reconfiguration to completion by stepping the
+// kernel (other subNoCs keep running normally), so a test can check the
+// wiring and routes right after the switch.
+func (f *Fabric) ReconfigureBlocking(sn *SubNoC, kind topology.Kind) error {
+	doneFlag := false
+	if err := f.Reconfigure(sn, kind, func() { doneFlag = true }); err != nil {
+		return err
 	}
-	if err := f.Release(sn); err != nil {
-		t.Fatal(err)
+	guard := f.kernel.Now() + 4*f.cfg.DrainTimeout
+	for !doneFlag && f.kernel.Now() < guard {
+		f.kernel.Step()
 	}
-	if got := f.Lookup(0); got != nil {
-		t.Fatalf("tile 0 still owned by subNoC %d", got.ID)
+	if !doneFlag {
+		return fmt.Errorf("fabric: reconfiguration of subNoC %d did not complete", sn.ID)
 	}
-	// Same tiles, different shape and topology.
-	sn2, err := f.Allocate(1, topology.Region{X: 0, Y: 0, W: 4, H: 4}, topology.Tree, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := deadlock.CheckAllPairs(net, f.RegionOf(sn2)); err != nil {
-		t.Fatal(err)
-	}
+	return nil
 }
 
-func TestAllocatorFirstFit(t *testing.T) {
-	a := NewAllocator(8, 8)
-	r1, err := a.Place(4, 4)
-	if err != nil {
-		t.Fatal(err)
+// SharedMCs returns the foreign MC tiles a subNoC currently reaches.
+func (f *Fabric) SharedMCs(sn *SubNoC) []noc.NodeID {
+	var out []noc.NodeID
+	for _, sh := range f.shares {
+		if sh.requester == sn {
+			out = append(out, sh.mcTile)
+		}
 	}
-	r2, err := a.Place(4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Overlaps(r2) {
-		t.Fatalf("overlapping placements %v, %v", r1, r2)
-	}
-	if _, err := a.Place(8, 8); err == nil {
-		t.Fatal("oversized placement succeeded")
-	}
-	if got := a.FreeTiles(); got != 32 {
-		t.Fatalf("FreeTiles = %d, want 32", got)
-	}
-	a.Free(r1)
-	if got := a.FreeTiles(); got != 48 {
-		t.Fatalf("FreeTiles after free = %d, want 48", got)
-	}
-	if err := a.PlaceAt(r1); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.PlaceAt(r1); err == nil {
-		t.Fatal("double placement succeeded")
-	}
+	return out
 }

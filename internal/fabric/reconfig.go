@@ -60,7 +60,7 @@ func (f *Fabric) Reconfigure(sn *SubNoC, kind topology.Kind, done func()) error 
 		f.kernel.AfterOp(wave, opReconfigDrain, int64(sn.ID), int64(kind), 0)
 	} else {
 		// A completion callback cannot be serialized; this path keeps the
-		// closure form (ReconfigureBlocking, tests) and a checkpoint taken
+		// closure form (Sim.Reconfigure's done callback) and a checkpoint taken
 		// mid-protocol reports the pending closure as unserializable.
 		f.kernel.After(wave, func(now sim.Cycle) {
 			f.beginDrain(sn, kind, now, done)
@@ -199,31 +199,6 @@ func (f *Fabric) openRegion(sn *SubNoC, gatedSince, end sim.Cycle) {
 	f.GateRegion(sn.Region, false)
 	sn.state = StateActive
 	sn.ReconfigCycles += int64(end - gatedSince)
-}
-
-// ReconfigureBlocking runs a reconfiguration to completion by stepping the
-// kernel (other subNoCs keep running normally); a convenience for tests,
-// examples, and the epoch controller.
-func (f *Fabric) ReconfigureBlocking(sn *SubNoC, kind topology.Kind) error {
-	doneFlag := false
-	if err := f.Reconfigure(sn, kind, func() { doneFlag = true }); err != nil {
-		return err
-	}
-	guard := f.kernel.Now() + 4*f.cfg.DrainTimeout
-	for !doneFlag && f.kernel.Now() < guard {
-		f.kernel.Step()
-	}
-	if !doneFlag {
-		return fmt.Errorf("fabric: reconfiguration of subNoC %d did not complete", sn.ID)
-	}
-	return nil
-}
-
-// SwitchLatencyModel returns the fixed (traffic-independent) portion of a
-// reconfiguration's latency in cycles — the notification wave plus Ts —
-// used by the overhead analysis (Section V-B).
-func (f *Fabric) SwitchLatencyModel(reg topology.Region) sim.Cycle {
-	return f.notificationWave(reg) + sim.Cycle(f.cfg.SetupCycles)
 }
 
 // RegionOf exposes a subNoC's region tiles for observers.

@@ -194,17 +194,6 @@ func (f *Fabric) sharesTouching(reg topology.Region) []*mcShare {
 	return out
 }
 
-// SharedMCs returns the foreign MC tiles a subNoC currently reaches.
-func (f *Fabric) SharedMCs(sn *SubNoC) []noc.NodeID {
-	var out []noc.NodeID
-	for _, sh := range f.shares {
-		if sh.requester == sn {
-			out = append(out, sh.mcTile)
-		}
-	}
-	return out
-}
-
 // crossing is a candidate boundary connection.
 type crossing struct {
 	aTile, bTile noc.NodeID

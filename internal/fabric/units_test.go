@@ -3,40 +3,11 @@ package fabric
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"adaptnoc/internal/noc"
 	"adaptnoc/internal/sim"
 	"adaptnoc/internal/topology"
 )
-
-func TestAllocatorNeverOverlapsProperty(t *testing.T) {
-	f := func(ws, hs []uint8) bool {
-		a := NewAllocator(8, 8)
-		var placed []topology.Region
-		n := len(ws)
-		if len(hs) < n {
-			n = len(hs)
-		}
-		for i := 0; i < n && i < 12; i++ {
-			w, h := int(ws[i]%5)+1, int(hs[i]%5)+1
-			reg, err := a.Place(w, h)
-			if err != nil {
-				continue // grid full — fine
-			}
-			for _, p := range placed {
-				if p.Overlaps(reg) {
-					return false
-				}
-			}
-			placed = append(placed, reg)
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestCheckWiringRejectsOverlap(t *testing.T) {
 	cfg := noc.DefaultConfig()
@@ -115,9 +86,10 @@ func TestSwitchLatencyModel(t *testing.T) {
 	k := sim.NewKernel()
 	k.Register(net)
 	f := New(net, k, DefaultConfig())
-	// (M+N-2)*(Tr+Tl) + Ts = (4+4-2)*(2+1) + 14 = 32.
-	if got := f.SwitchLatencyModel(topology.Region{W: 4, H: 4}); got != 32 {
-		t.Fatalf("SwitchLatencyModel = %d, want 32", got)
+	// The fixed, traffic-independent part of a switch: the notification
+	// wave plus Ts, (M+N-2)*(Tr+Tl) + Ts = (4+4-2)*(2+1) + 14 = 32.
+	if got := f.notificationWave(topology.Region{W: 4, H: 4}) + sim.Cycle(f.cfg.SetupCycles); got != 32 {
+		t.Fatalf("notification wave + Ts = %d, want 32", got)
 	}
 }
 

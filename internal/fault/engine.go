@@ -183,20 +183,6 @@ func (e *Engine) Extend(events []Event) error {
 // Schedule returns the full event schedule (do not mutate).
 func (e *Engine) Schedule() []Event { return e.sched }
 
-// Draining reports whether a strike or repair is waiting for quiescence.
-func (e *Engine) Draining() bool { return e.draining }
-
-// ActiveCount returns the number of currently applied (unrepaired) events.
-func (e *Engine) ActiveCount() int {
-	c := 0
-	for _, a := range e.active {
-		if a {
-			c++
-		}
-	}
-	return c
-}
-
 // beginDrain starts the drain toward the next application point. Joining an
 // ongoing drain is free: the pending action folds into the same apply.
 func (e *Engine) beginDrain(now sim.Cycle) {

@@ -190,19 +190,6 @@ func (c *Coordinator) ensureItem(key string, req serve.Request) *item {
 	return it
 }
 
-// Evaluate runs one canonical simulation request through the fleet and
-// returns its Results. It is the exp.Options.Eval implementation: suites
-// call it for every evaluation, concurrently up to the planner's
-// parallelism. limit is as in exp.Eval.
-func (c *Coordinator) Evaluate(ctx context.Context, cfg adaptnoc.Config, limit adaptnoc.Cycle) (adaptnoc.Results, error) {
-	req := requestTo(cfg, limit)
-	key, err := serve.RequestKey(req)
-	if err != nil {
-		return adaptnoc.Results{}, err
-	}
-	return c.evalItem(ctx, key, req)
-}
-
 // requestTo is the canonical serve request that runs cfg to limit: the
 // window of a window config, the completion cap of a finite one.
 func requestTo(cfg adaptnoc.Config, limit adaptnoc.Cycle) serve.Request {

@@ -441,3 +441,15 @@ func TestSuiteHTTPSurface(t *testing.T) {
 		t.Fatalf("unknown suite output: %s, want 404", resp.Status)
 	}
 }
+
+// Evaluate runs one canonical simulation request through the fleet and
+// returns its Results: runSuite's exp.Options.Eval without the suite's
+// event stream. limit is as in exp.Eval.
+func (c *Coordinator) Evaluate(ctx context.Context, cfg adaptnoc.Config, limit adaptnoc.Cycle) (adaptnoc.Results, error) {
+	req := requestTo(cfg, limit)
+	key, err := serve.RequestKey(req)
+	if err != nil {
+		return adaptnoc.Results{}, err
+	}
+	return c.evalItem(ctx, key, req)
+}

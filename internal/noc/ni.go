@@ -92,11 +92,6 @@ func newNI(id NodeID) *NI {
 	return &NI{ID: id}
 }
 
-// RxPending returns the number of inbound packets this NI is currently
-// reassembling — the whole of its reassembly state, bounded by the
-// in-flight packet population rather than run length.
-func (n *NI) RxPending() int { return n.rxOpen }
-
 // QueueLen returns the number of packets waiting (not yet fully streamed).
 func (n *NI) QueueLen() int {
 	return n.queues[0].len() + n.queues[1].len() + n.openStreams

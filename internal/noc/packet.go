@@ -108,16 +108,6 @@ type Flit struct {
 	visibleAt sim.Cycle
 }
 
-// MakeFlits serializes a packet into a freshly allocated flit slab. The
-// injection path uses the pooled Network.makeFlits instead; this entry
-// point serves tests and standalone channel use.
-func MakeFlits(p *Packet) []Flit {
-	if p.Size < 1 {
-		panic("noc: packet with no flits")
-	}
-	return fillFlits(p, make([]Flit, p.Size))
-}
-
 // fillFlits initializes a slab of exactly p.Size flits in place and records
 // it as the packet's slab for recycling at delivery.
 func fillFlits(p *Packet, fs []Flit) []Flit {

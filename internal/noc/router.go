@@ -356,12 +356,6 @@ func (r *Router) EnablePowerGating(wake, idle sim.Cycle) {
 	r.sleepAfter = idle
 }
 
-// Asleep reports whether the router is currently clock/power gated.
-func (r *Router) Asleep() bool {
-	r.syncIdle(r.net.lastTick)
-	return r.asleep
-}
-
 // Occupancy returns the number of flits buffered across all input VCs.
 func (r *Router) Occupancy() int { return r.buffered }
 

@@ -11,7 +11,6 @@ package noc
 
 import (
 	"math/bits"
-	"runtime"
 
 	"adaptnoc/internal/sim"
 )
@@ -21,10 +20,6 @@ const (
 	gangPhaseChannels = iota
 	gangPhaseRouters
 )
-
-// autoShardNodes is the chip size at which SetShards(0) starts sharding:
-// below 16×16 the per-cycle work is too small for the barrier to pay off.
-const autoShardNodes = 256
 
 // shardRegion is one shard's slice of the network: the work lists,
 // injector group, delivery buffer, and counters that its worker may touch
@@ -59,19 +54,12 @@ type shardRegion struct {
 	flitsEjected  int64
 }
 
-// SetShards sets the number of tick shards. k <= 0 selects automatically:
-// GOMAXPROCS shards for chips of autoShardNodes tiles and up, serial
-// below. The count is clamped to the row count (a shard owns at least one
-// row). Sharding is a runtime execution knob, not simulation state — any
-// value produces byte-identical results — so it is not part of Config and
-// not serialized in checkpoints.
+// SetShards sets the number of tick shards; k < 1 is serial. The count is
+// clamped to the row count (a shard owns at least one row). Sharding is a
+// runtime execution knob, not simulation state — any value produces
+// byte-identical results — so it is not part of Config and not serialized
+// in checkpoints.
 func (n *Network) SetShards(k int) {
-	if k <= 0 {
-		k = 1
-		if n.Cfg.NumNodes() >= autoShardNodes {
-			k = runtime.GOMAXPROCS(0)
-		}
-	}
 	if k > n.Cfg.Height {
 		k = n.Cfg.Height
 	}
@@ -87,16 +75,6 @@ func (n *Network) SetShards(k int) {
 
 // Shards returns the current tick shard count.
 func (n *Network) Shards() int { return n.shards }
-
-// ShardOfRouter returns the shard that owns a router under the current
-// partition (carving first if the partition is stale). Diagnostic: lets
-// tests and tools confirm the banding matches topology.PartitionRows.
-func (n *Network) ShardOfRouter(id NodeID) int {
-	if n.carveDirty {
-		n.carve()
-	}
-	return n.routers[id].shard
-}
 
 // StopWorkers releases the shard worker goroutines (idempotent). The
 // network remains usable: the next Tick of a sharded network re-carves and
@@ -120,6 +98,13 @@ func (n *Network) shardOf(e Endpoint) int {
 	}
 	return n.routers[e.NI].shard
 }
+
+// RowBand returns the rows [lo, hi) that shard i of k owns on a grid h
+// rows tall: band i covers rows [i·h/k, (i+1)·h/k), so for 1 ≤ k ≤ h the
+// bands are contiguous, cover every row once, and differ in height by at
+// most one. It is the sharded tick's one banding rule; carve applies it to
+// the shard count SetShards clamped.
+func RowBand(h, k, i int) (lo, hi int) { return i * h / k, (i + 1) * h / k }
 
 // carve (re)builds the shard partition from live state: assigns every
 // router, channel, and injector to its region, rebuilds the per-region
@@ -176,15 +161,16 @@ func (n *Network) carve() {
 		}
 	}
 
-	// Row→shard map: contiguous bands whose sizes differ by at most one,
-	// matching topology.PartitionRows. Built by iterating the bands — the
-	// closed-form inverse y*k/h misassigns rows when h % k != 0.
+	// Row→shard map: contiguous full-width bands placed by RowBand. Built
+	// by iterating the bands — the closed-form inverse y*k/h misassigns
+	// rows when h % k != 0.
 	if cap(n.rowShard) < h {
 		n.rowShard = make([]int, h)
 	}
 	rows := n.rowShard[:h]
 	for i := 0; i < k; i++ {
-		for y := i * h / k; y < (i+1)*h/k; y++ {
+		lo, hi := RowBand(h, k, i)
+		for y := lo; y < hi; y++ {
 			rows[y] = i
 		}
 	}

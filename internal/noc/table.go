@@ -60,34 +60,11 @@ func (t *RoutingTable) Lookup(dst NodeID) (RouteEntry, bool) {
 	return e, e.Valid
 }
 
-// Destinations returns every destination with a valid route, for the
-// deadlock checker.
-func (t *RoutingTable) Destinations() []NodeID {
-	var out []NodeID
-	for i, e := range t.entries {
-		if e.Valid {
-			out = append(out, NodeID(i))
-		}
-	}
-	return out
-}
-
 // Clone returns a mutable copy.
 func (t *RoutingTable) Clone() *RoutingTable {
 	cp := make([]RouteEntry, len(t.entries))
 	copy(cp, t.entries)
 	return &RoutingTable{entries: cp}
-}
-
-// Merge overlays routes from o onto a copy of t (o wins on conflict).
-func (t *RoutingTable) Merge(o *RoutingTable) *RoutingTable {
-	cp := t.Clone()
-	for i, e := range o.entries {
-		if e.Valid {
-			cp.entries[i] = e
-		}
-	}
-	return cp
 }
 
 // String summarizes the table for diagnostics.

@@ -38,7 +38,7 @@ func driveLoad(net *noc.Network, k *sim.Kernel, cycles int) {
 // per-event cost. Compare against BenchmarkTickUntraced for the overhead.
 func BenchmarkTickTraced(b *testing.B) {
 	net, k := benchNet(b)
-	tr := obs.NewChromeTracer()
+	tr := &obs.ChromeTracer{}
 	net.SetTracer(obs.Tee{tr, obs.NewMetrics()})
 	b.ResetTimer()
 	driveLoad(net, k, b.N)

@@ -80,14 +80,6 @@ type chromeEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// NewChromeTracer returns an empty tracer ready to install via SetTracer.
-// The zero value (useful for setting Cap via a literal) works too.
-func NewChromeTracer() *ChromeTracer {
-	c := &ChromeTracer{}
-	c.ensure()
-	return c
-}
-
 func (c *ChromeTracer) ensure() {
 	if c.pending == nil {
 		c.pending = make(map[flitKey]hopState)

@@ -141,7 +141,3 @@ func (m *Metrics) Report(w io.Writer, cycles int64) {
 		fmt.Fprintf(w, "%-28s %d%s\n", e.name, e.flits, rate(e.flits))
 	}
 }
-
-// RouterTraversals returns switch-traversal counts indexed by router ID
-// (short slice if high routers never traversed).
-func (m *Metrics) RouterTraversals() []int64 { return m.routerTrav }

@@ -51,7 +51,7 @@ func drain(t *testing.T, net *noc.Network, k *sim.Kernel, cycles sim.Cycle) {
 
 func TestChromeTracerProducesValidTrace(t *testing.T) {
 	net, k := rig(t)
-	tr := obs.NewChromeTracer()
+	tr := &obs.ChromeTracer{}
 	net.SetTracer(tr)
 	load(net, 40)
 	drain(t, net, k, 2000)
@@ -99,7 +99,7 @@ func TestChromeTracerProducesValidTrace(t *testing.T) {
 
 func TestChromeTracerHonoursCap(t *testing.T) {
 	net, k := rig(t)
-	tr := obs.NewChromeTracer()
+	tr := &obs.ChromeTracer{}
 	tr.Cap = 10
 	net.SetTracer(tr)
 	load(net, 40)

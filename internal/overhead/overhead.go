@@ -9,16 +9,14 @@ import "fmt"
 
 // Paper-published area constants (45 nm, Synopsys DC), in square microns.
 const (
-	CrossbarAreaUM2       = 17806.0
-	SwitchAllocAreaUM2    = 4589.0
-	VCAllocAreaUM2        = 1062.0
-	BuffersAreaUM2        = 246472.0 // baseline: 5 ports x 3 VCs x 2 vnets x 4 flits
-	BaselineNoCAreaMM2    = 17.27    // 8x8 mesh total
-	AdaptExtraPortsMM2    = 1.46     // peripheral-router extra ports
-	RLControllersAreaUM2  = 100232.0 // all 8 controllers
-	MuxArbLinkAreaUM2     = 107123.0 // arbiter + muxes + additional links
-	baselineBufferFlits   = 5 * 3 * 2 * 4
-	baselineRouterAreaUM2 = CrossbarAreaUM2 + SwitchAllocAreaUM2 + VCAllocAreaUM2 + BuffersAreaUM2
+	CrossbarAreaUM2      = 17806.0
+	SwitchAllocAreaUM2   = 4589.0
+	VCAllocAreaUM2       = 1062.0
+	BuffersAreaUM2       = 246472.0 // baseline: 5 ports x 3 VCs x 2 vnets x 4 flits
+	AdaptExtraPortsMM2   = 1.46     // peripheral-router extra ports
+	RLControllersAreaUM2 = 100232.0 // all 8 controllers
+	MuxArbLinkAreaUM2    = 107123.0 // arbiter + muxes + additional links
+	baselineBufferFlits  = 5 * 3 * 2 * 4
 )
 
 // RouterArea returns the area of one router with the given port count and
@@ -151,11 +149,6 @@ func RouterTiming() TimingReport {
 		MuxMergeSafe: mergedRC <= VADelayPS && mergedST <= VADelayPS,
 		MaxClockGHz:  1000.0 / critical,
 	}
-}
-
-// LinkDelayPS returns wire delay for a length in mm on a layer.
-func LinkDelayPS(layer MetalLayer, mm float64) float64 {
-	return layer.DelayPSPerMM * mm
 }
 
 // RL inference latency (Section V-B.3): one adder and one multiplier

@@ -74,11 +74,11 @@ func TestRouterTimingMuxMerge(t *testing.T) {
 
 func TestLinkDelays(t *testing.T) {
 	// Paper: 42 ps/mm high metal, 200 ps/mm intermediate.
-	if LinkDelayPS(HighMetal, 4) != 168 {
-		t.Errorf("4 mm high-metal delay %v", LinkDelayPS(HighMetal, 4))
+	if HighMetal.DelayPSPerMM != 42 {
+		t.Errorf("high-metal delay %v ps/mm", HighMetal.DelayPSPerMM)
 	}
-	if LinkDelayPS(IntermediateMetal, 1) != 200 {
-		t.Errorf("1 mm intermediate delay %v", LinkDelayPS(IntermediateMetal, 1))
+	if IntermediateMetal.DelayPSPerMM != 200 {
+		t.Errorf("intermediate delay %v ps/mm", IntermediateMetal.DelayPSPerMM)
 	}
 }
 

@@ -124,12 +124,6 @@ func (d *DQN) Select(state []float64) int {
 	return Argmax(d.Prediction.Forward(state))
 }
 
-// Greedy returns the pure-exploitation action.
-func (d *DQN) Greedy(state []float64) int {
-	d.Inferences++
-	return Argmax(d.Prediction.Forward(state))
-}
-
 // Observe stores a transition in the replay buffer.
 func (d *DQN) Observe(e Experience) {
 	d.Replay.Add(e)
@@ -162,15 +156,4 @@ func (d *DQN) TrainIteration() float64 {
 		d.target.CopyFrom(d.Prediction)
 	}
 	return absErr / float64(d.Cfg.Minibatch)
-}
-
-// TDError evaluates the TD error of one transition without training; used
-// to measure held-out convergence.
-func (d *DQN) TDError(e Experience) float64 {
-	target := e.Reward
-	if e.Next != nil {
-		q := d.target.Forward(e.Next)
-		target += d.Cfg.Gamma * q[Argmax(q)]
-	}
-	return target - d.Prediction.Forward(e.State)[e.Action]
 }

@@ -72,8 +72,3 @@ func (t *QTable) Update(state []float64, action int, reward float64, next []floa
 
 // Entries returns the number of distinct discretized states seen.
 func (t *QTable) Entries() int { return len(t.q) }
-
-// Q returns the current value of (state, action); for tests.
-func (t *QTable) Q(state []float64, action int) float64 {
-	return t.row(state)[action]
-}

@@ -148,7 +148,7 @@ func TestDQNLearnsToyPolicy(t *testing.T) {
 	trials := 500
 	for i := 0; i < trials; i++ {
 		s := env.state()
-		a := d.Greedy(s)
+		a := Argmax(d.Prediction.Forward(s))
 		want := 0
 		if s[0] >= 0.5 {
 			want = 2
@@ -306,4 +306,15 @@ func TestTrainStepClipsLargeTargets(t *testing.T) {
 			t.Fatal("NaN after outlier update")
 		}
 	}
+}
+
+// TDError evaluates the TD error of one transition without training; used
+// to measure held-out convergence.
+func (d *DQN) TDError(e Experience) float64 {
+	target := e.Reward
+	if e.Next != nil {
+		q := d.target.Forward(e.Next)
+		target += d.Cfg.Gamma * q[Argmax(q)]
+	}
+	return target - d.Prediction.Forward(e.State)[e.Action]
 }

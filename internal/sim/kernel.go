@@ -13,7 +13,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Cycle is a simulation timestamp in clock cycles.
@@ -235,20 +234,4 @@ func (h *eventHeap) pop() event {
 		i = smallest
 	}
 	return top
-}
-
-// PendingEvents returns the number of scheduled events that have not yet
-// fired — an observability hook for drivers deciding whether a simulation
-// still has future work queued.
-func (k *Kernel) PendingEvents() int { return len(k.events) }
-
-// pendingCycles returns pending events' cycles in ascending order; used by
-// tests.
-func (k *Kernel) pendingCycles() []Cycle {
-	out := make([]Cycle, len(k.events))
-	for i, ev := range k.events {
-		out[i] = ev.at
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

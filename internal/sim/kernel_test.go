@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -122,31 +123,33 @@ func TestPendingCyclesSorted(t *testing.T) {
 	for _, at := range []Cycle{9, 3, 7, 1} {
 		k.Schedule(at, func(Cycle) {})
 	}
-	got := k.pendingCycles()
-	for i := 1; i < len(got); i++ {
-		if got[i] < got[i-1] {
-			t.Fatalf("pendingCycles not sorted: %v", got)
-		}
+	// The pending set pops in cycle order whatever the insertion order.
+	var got []Cycle
+	for len(k.events) > 0 {
+		got = append(got, k.events.pop().at)
+	}
+	if !reflect.DeepEqual(got, []Cycle{1, 3, 7, 9}) {
+		t.Fatalf("pending cycles pop as %v, want [1 3 7 9]", got)
 	}
 }
 
 func TestPendingEvents(t *testing.T) {
 	k := NewKernel()
-	if n := k.PendingEvents(); n != 0 {
+	if n := len(k.events); n != 0 {
 		t.Fatalf("fresh kernel has %d pending events", n)
 	}
 	for _, at := range []Cycle{2, 5, 5} {
 		k.Schedule(at, func(Cycle) {})
 	}
-	if n := k.PendingEvents(); n != 3 {
-		t.Fatalf("PendingEvents = %d, want 3", n)
+	if n := len(k.events); n != 3 {
+		t.Fatalf("%d pending events, want 3", n)
 	}
 	k.Run(3) // fires the cycle-2 event
-	if n := k.PendingEvents(); n != 2 {
-		t.Fatalf("PendingEvents after partial run = %d, want 2", n)
+	if n := len(k.events); n != 2 {
+		t.Fatalf("%d pending events after partial run, want 2", n)
 	}
 	k.Run(6)
-	if n := k.PendingEvents(); n != 0 {
-		t.Fatalf("PendingEvents after full run = %d, want 0", n)
+	if n := len(k.events); n != 0 {
+		t.Fatalf("%d pending events after full run, want 0", n)
 	}
 }

@@ -89,49 +89,3 @@ func (r *RNG) NormFloat64() float64 {
 		return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 	}
 }
-
-// Exponential returns an exponentially distributed variate with the given
-// mean. Used for inter-arrival jitter in traffic sources.
-func (r *RNG) Exponential(mean float64) float64 {
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -mean * math.Log(u)
-}
-
-// Perm fills a permutation of [0, n) using Fisher–Yates.
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Choice returns a random index weighted by the given non-negative weights.
-// All-zero weights select uniformly.
-func (r *RNG) Choice(weights []float64) int {
-	var total float64
-	for _, w := range weights {
-		if w < 0 {
-			panic("sim: negative weight")
-		}
-		total += w
-	}
-	if total == 0 {
-		return r.Intn(len(weights))
-	}
-	x := r.Float64() * total
-	for i, w := range weights {
-		x -= w
-		if x < 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
-}

@@ -93,48 +93,3 @@ func TestNormFloat64Moments(t *testing.T) {
 		t.Errorf("normal stddev %.4f", acc.StdDev())
 	}
 }
-
-func TestExponentialMean(t *testing.T) {
-	r := NewRNG(17)
-	var acc Accumulator
-	for i := 0; i < 100000; i++ {
-		acc.Add(r.Exponential(20))
-	}
-	if math.Abs(acc.Mean()-20) > 0.5 {
-		t.Errorf("exponential mean %.2f, want ~20", acc.Mean())
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	f := func(seed uint64, n uint8) bool {
-		size := int(n%32) + 1
-		p := NewRNG(seed).Perm(size)
-		seen := make([]bool, size)
-		for _, v := range p {
-			if v < 0 || v >= size || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestChoiceRespectsWeights(t *testing.T) {
-	r := NewRNG(19)
-	counts := [3]int{}
-	for i := 0; i < 60000; i++ {
-		counts[r.Choice([]float64{1, 2, 3})]++
-	}
-	if !(counts[0] < counts[1] && counts[1] < counts[2]) {
-		t.Fatalf("weighted choice ordering broken: %v", counts)
-	}
-	// Zero weights fall back to uniform.
-	z := r.Choice([]float64{0, 0})
-	if z != 0 && z != 1 {
-		t.Fatalf("zero-weight choice out of range: %d", z)
-	}
-}

@@ -13,10 +13,6 @@ import (
 // State returns the generator's exact internal state.
 func (r *RNG) State() [4]uint64 { return r.s }
 
-// SetState overwrites the generator's internal state; the stream continues
-// exactly as if the intervening draws had happened in this process.
-func (r *RNG) SetState(s [4]uint64) { r.s = s }
-
 // SnapState is the generator's checkpoint record: its four state words.
 func (r *RNG) SnapState(c *snap.Codec) {
 	for i := range r.s {

@@ -78,15 +78,14 @@ func TestRNGStateRoundTrip(t *testing.T) {
 
 	// A fresh generator given the captured state must continue the exact
 	// stream, draw for draw.
-	cp := &RNG{}
-	cp.SetState(state)
+	cp := &RNG{s: state}
 	ref := NewRNG(99)
 	for i := 0; i < 1000; i++ {
 		ref.Uint64()
 	}
 	for i := 0; i < 256; i++ {
 		if a, b := ref.Uint64(), cp.Uint64(); a != b {
-			t.Fatalf("draw %d diverged after SetState: %#x vs %#x", i, a, b)
+			t.Fatalf("draw %d diverged after restoring the state: %#x vs %#x", i, a, b)
 		}
 	}
 
@@ -107,14 +106,13 @@ func TestRNGStateRoundTrip(t *testing.T) {
 func TestRNGSplitAfterRestore(t *testing.T) {
 	// Splitting after a restore must yield the same child stream as
 	// splitting at the same point of the original run: Split consumes
-	// parent state, so this is the sharpest test that SetState captures
-	// everything.
+	// parent state, so this is the sharpest test that the four state
+	// words capture everything.
 	orig := NewRNG(5)
 	for i := 0; i < 37; i++ {
 		orig.Uint64()
 	}
-	restored := &RNG{}
-	restored.SetState(orig.State())
+	restored := &RNG{s: orig.State()}
 
 	a := orig.Split(1234)
 	b := restored.Split(1234)
@@ -159,7 +157,7 @@ func TestAccumulatorHistogramRoundTrip(t *testing.T) {
 	if err := roundTrip(h.SnapState, h2.SnapState); err != nil {
 		t.Fatal(err)
 	}
-	if h.Summary() != h2.Summary() || h.Overflow() != h2.Overflow() {
+	if h.Summary() != h2.Summary() || h.over != h2.over {
 		t.Fatalf("histogram round trip:\n%s\n%s", h.Summary(), h2.Summary())
 	}
 	h.Add(42)
@@ -223,8 +221,8 @@ func TestKernelOpEventsRoundTrip(t *testing.T) {
 
 	// Seq continuity: events scheduled after restore must order after
 	// pre-checkpoint events at the same cycle, exactly as in the reference.
-	if ref.PendingEvents() != k2.PendingEvents() {
-		t.Fatalf("pending events differ: %d vs %d", ref.PendingEvents(), k2.PendingEvents())
+	if len(ref.events) != len(k2.events) {
+		t.Fatalf("pending events differ: %d vs %d", len(ref.events), len(k2.events))
 	}
 }
 

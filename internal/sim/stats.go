@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Accumulator collects a running mean/min/max/variance of a scalar series
@@ -43,9 +42,6 @@ func (a *Accumulator) Min() float64 { return a.min }
 
 // Max returns the largest sample, or 0 with no samples.
 func (a *Accumulator) Max() float64 { return a.max }
-
-// Sum returns mean × n.
-func (a *Accumulator) Sum() float64 { return a.mean * float64(a.n) }
 
 // Variance returns the unbiased sample variance.
 func (a *Accumulator) Variance() float64 {
@@ -128,9 +124,6 @@ func (h *Histogram) Percentile(p float64) int64 {
 	return int64(h.acc.Max())
 }
 
-// Overflow returns the number of samples beyond the last bucket.
-func (h *Histogram) Overflow() int64 { return h.over }
-
 // Buckets returns the bucket width, a copy of the per-bucket counts, and
 // the overflow count — the raw shape that exporters (e.g. the serving
 // daemon's Prometheus text exposition) need, which percentile queries
@@ -153,27 +146,4 @@ func (h *Histogram) Reset() {
 	}
 	h.over = 0
 	h.acc.Reset()
-}
-
-// Quantile returns the q-quantile (q in [0,1]) of a float slice, for offline
-// analysis in the experiment harness. The input is not modified.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	if q <= 0 {
-		return cp[0]
-	}
-	if q >= 1 {
-		return cp[len(cp)-1]
-	}
-	pos := q * float64(len(cp)-1)
-	lo := int(math.Floor(pos))
-	frac := pos - float64(lo)
-	if lo+1 >= len(cp) {
-		return cp[len(cp)-1]
-	}
-	return cp[lo]*(1-frac) + cp[lo+1]*frac
 }

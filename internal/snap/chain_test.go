@@ -20,7 +20,7 @@ func stepSource() (*SectionSource, *int) {
 
 // fullAt is the sealed blob of stepSource's state at step.
 func fullAt(step int) []byte {
-	return Seal(JoinSections(buildSections(map[uint64]byte{1: 'a', 2: byte('a' + step), uint64(3 + step): 'c'}, "t"+strconv.Itoa(step))))
+	return Seal(JoinSectionsInto(nil, buildSections(map[uint64]byte{1: 'a', 2: byte('a' + step), uint64(3 + step): 'c'}, "t"+strconv.Itoa(step))))
 }
 
 func readChain(t *testing.T, path string) []byte {

@@ -15,7 +15,7 @@ package snap
 // full blobs (the section stream Seal would compress), not over the sealed
 // bytes. Hashing bodies keeps the encoder off the expensive gzip path —
 // it never has to seal a full blob just to learn its identity — while
-// ApplyDelta re-seals deterministically, so base ⊕ delta reproduces the
+// ApplyChain re-seals deterministically, so base ⊕ delta reproduces the
 // exact sealed v2 blob a full Checkpoint would have written.
 //
 // The payload replays the new body's section stream:
@@ -119,14 +119,11 @@ func SplitSections(body []byte) ([]DeltaSection, error) {
 	return secs, nil
 }
 
-// JoinSections reassembles a body from a section list, inverse of
-// SplitSections.
-func JoinSections(secs []DeltaSection) []byte { return JoinSectionsInto(nil, secs) }
-
-// JoinSectionsInto is JoinSections writing over dst's backing storage. A
-// periodic producer joins a multi-hundred-kilobyte body every interval and
-// discards it right after hashing; reusing the previous interval's buffer
-// keeps that churn out of the allocator.
+// JoinSectionsInto reassembles a body from a section list, inverse of
+// SplitSections, writing over dst's backing storage. A periodic producer
+// joins a multi-hundred-kilobyte body every interval and discards it right
+// after hashing; reusing the previous interval's buffer keeps that churn
+// out of the allocator.
 func JoinSectionsInto(dst []byte, secs []DeltaSection) []byte {
 	var w Writer
 	w.ResetWith(dst, nil)
@@ -136,20 +133,10 @@ func JoinSectionsInto(dst []byte, secs []DeltaSection) []byte {
 	return w.Bytes()
 }
 
-// EncodeDelta builds a frame that transforms the base section list into
-// the new one. baseHash and newHash are the BodyHash of the respective
-// joined bodies; the encoder trusts the caller for the base (it never sees
-// the base blob) and stamps both into the frame header for apply-time
-// validation.
-func EncodeDelta(baseSecs, newSecs []DeltaSection, baseHash, newHash [32]byte) []byte {
-	var e DeltaEncoder
-	return e.Encode(baseSecs, newSecs, baseHash, newHash)
-}
-
-// DeltaEncoder is EncodeDelta with memory. A rolling-chain producer
-// encodes a frame every checkpoint interval; the encoder's scratch —
-// payload writer, span tables, op accumulator, and above all the deflate
-// state behind the payload compressor — survives between frames so the
+// DeltaEncoder builds delta frames. A rolling-chain producer encodes a
+// frame every checkpoint interval; the encoder's scratch — payload
+// writer, span tables, op accumulator, and above all the deflate state
+// behind the payload compressor — survives between frames so the
 // steady-state cost is the diff itself, not reallocating the machinery.
 // The zero value is ready to use. Not safe for concurrent use.
 type DeltaEncoder struct {
@@ -160,8 +147,11 @@ type DeltaEncoder struct {
 	opData    []byte
 }
 
-// Encode builds a frame exactly as EncodeDelta does; only the returned
-// frame is freshly allocated.
+// Encode builds a frame that transforms the base section list into the new
+// one. baseHash and newHash are the BodyHash of the respective joined
+// bodies; the encoder trusts the caller for the base (it never sees the
+// base blob) and stamps both into the frame header for apply-time
+// validation. Only the returned frame is freshly allocated.
 func (e *DeltaEncoder) Encode(baseSecs, newSecs []DeltaSection, baseHash, newHash [32]byte) []byte {
 	e.pw.Reset()
 	e.pw.Uvarint(uint64(len(newSecs)))
@@ -586,9 +576,4 @@ func ApplyChain(base []byte, frames ...[]byte) ([]byte, error) {
 		}
 	}
 	return Seal(body), nil
-}
-
-// ApplyDelta is ApplyChain for a single frame.
-func ApplyDelta(base, frame []byte) ([]byte, error) {
-	return ApplyChain(base, frame)
 }

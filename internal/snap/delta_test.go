@@ -43,12 +43,12 @@ func buildSections(records map[uint64]byte, tail string) []DeltaSection {
 	}
 }
 
-func sealSections(secs []DeltaSection) []byte { return Seal(JoinSections(secs)) }
+func sealSections(secs []DeltaSection) []byte { return Seal(JoinSectionsInto(nil, secs)) }
 
 func encode(t *testing.T, base, next []DeltaSection) []byte {
 	t.Helper()
-	return EncodeDelta(base, next,
-		BodyHash(JoinSections(base)), BodyHash(JoinSections(next)))
+	return new(DeltaEncoder).Encode(base, next,
+		BodyHash(JoinSectionsInto(nil, base)), BodyHash(JoinSectionsInto(nil, next)))
 }
 
 func TestDeltaRoundTrip(t *testing.T) {
@@ -57,7 +57,7 @@ func TestDeltaRoundTrip(t *testing.T) {
 	next := buildSections(map[uint64]byte{2: 'B', 3: 'c', 9: 'z'}, "t1")
 
 	frame := encode(t, base, next)
-	got, err := ApplyDelta(sealSections(base), frame)
+	got, err := ApplyChain(sealSections(base), frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestDeltaRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b != BodyHash(JoinSections(base)) || n != BodyHash(JoinSections(next)) {
+	if b != BodyHash(JoinSectionsInto(nil, base)) || n != BodyHash(JoinSectionsInto(nil, next)) {
 		t.Fatal("DeltaHashes mismatch")
 	}
 }
@@ -91,7 +91,7 @@ func TestDeltaIdenticalBaseIsTiny(t *testing.T) {
 	if len(frame) >= len(full)/2 || len(frame) > 200 {
 		t.Fatalf("no-change delta is %d bytes (full %d)", len(frame), len(full))
 	}
-	got, err := ApplyDelta(full, frame)
+	got, err := ApplyChain(full, frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestDeltaSmallChangeBeatsFull(t *testing.T) {
 	if len(frame) >= len(full)/5 {
 		t.Fatalf("one-record delta is %d bytes, full blob %d — expected ≥5x smaller", len(frame), len(full))
 	}
-	got, err := ApplyDelta(sealSections(base), frame)
+	got, err := ApplyChain(sealSections(base), frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestDeltaWrongBase(t *testing.T) {
 	next := buildSections(map[uint64]byte{1: 'b'}, "1")
 	other := buildSections(map[uint64]byte{1: 'x'}, "9")
 	frame := encode(t, base, next)
-	_, err := ApplyDelta(sealSections(other), frame)
+	_, err := ApplyChain(sealSections(other), frame)
 	if err == nil || !strings.Contains(err.Error(), "base hash") {
 		t.Fatalf("wrong base: %v", err)
 	}
@@ -255,7 +255,7 @@ func TestDeltaDecoderRejectsLies(t *testing.T) {
 	}
 
 	for name, frame := range cases {
-		if _, err := ApplyDelta(blob, frame); err == nil {
+		if _, err := ApplyChain(blob, frame); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -267,7 +267,7 @@ func TestDeltaEncoderDeterministic(t *testing.T) {
 	a := encode(t, base, next)
 	b := encode(t, base, next)
 	if !bytes.Equal(a, b) {
-		t.Fatal("EncodeDelta is not deterministic")
+		t.Fatal("DeltaEncoder is not deterministic")
 	}
 }
 
@@ -296,7 +296,7 @@ func FuzzDecodeDelta(f *testing.F) {
 	body, _ := OpenBody(blob)
 	baseHash := BodyHash(body)
 
-	good := EncodeDelta(base, next, baseHash, BodyHash(JoinSections(next)))
+	good := new(DeltaEncoder).Encode(base, next, baseHash, BodyHash(JoinSectionsInto(nil, next)))
 	f.Add(good)
 	f.Add(good[:deltaHeaderLen])
 	f.Add(good[:len(good)/2])
@@ -327,7 +327,7 @@ func FuzzDecodeDelta(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Must never panic; a successful apply must produce a well-formed
 		// sealed blob whose body hash matches the frame's claim.
-		out, err := ApplyDelta(blob, data)
+		out, err := ApplyChain(blob, data)
 		if err != nil {
 			return
 		}

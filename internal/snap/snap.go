@@ -67,7 +67,7 @@ type Writer struct {
 // (a packet, a router, a transaction) so the delta encoder can line up
 // the same component across two snapshots even when unrelated components
 // were inserted or removed between them. Parts are an in-memory aid for
-// EncodeDelta only — they are never serialized into a blob, so marking is
+// DeltaEncoder only — they are never serialized into a blob, so marking is
 // free to evolve without a format change.
 type Part struct {
 	Key uint64
@@ -187,9 +187,6 @@ func NewReader(data []byte) *Reader { return &Reader{buf: data} }
 
 // Len returns the number of unread bytes.
 func (r *Reader) Len() int { return len(r.buf) - r.off }
-
-// Offset returns the current read position.
-func (r *Reader) Offset() int { return r.off }
 
 func (r *Reader) corrupt(msg string) error { return &ErrCorrupt{Off: r.off, Msg: msg} }
 

@@ -43,11 +43,11 @@ func TestDropAtInjectionRetiresCleanly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The engine's own sweep drops queued packets while it is still
-	// draining; any drop after that happened inside Enqueue.
+	// The engine's own sweep drops queued packets while every NI is still
+	// gated for the drain; a drop at an open NI happened inside Enqueue.
 	injectDrops := 0
 	net.SetDropFunc(func(p *noc.Packet, now sim.Cycle) {
-		if eng.Strikes > 0 && !eng.Draining() && p.Payload.Kind == payloadTxn {
+		if eng.Strikes > 0 && !net.NI(p.Src).Gated() && p.Payload.Kind == payloadTxn {
 			injectDrops++
 		}
 		m.Drop(p, now)

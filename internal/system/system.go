@@ -227,12 +227,6 @@ func (a *App) Stats() (win, total *traffic.Stats) { return &a.win.Stats, &a.tota
 // Source returns the app's workload source.
 func (a *App) Source() traffic.Source { return a.src }
 
-// SetMCs replaces the app's own memory-controller set.
-func (a *App) SetMCs(mcs []noc.NodeID) {
-	a.MCTiles = append([]noc.NodeID(nil), mcs...)
-	a.layout.MCTiles = a.MCTiles
-}
-
 // SetForeignMCs configures shared foreign controllers and the fraction of
 // off-chip accesses directed to them.
 func (a *App) SetForeignMCs(mcs []noc.NodeID, frac float64) {
@@ -291,10 +285,6 @@ type Machine struct {
 	// serially) and never serialized: a restore starts it empty.
 	free []*txn
 
-	// onDeliver chains an external observer after the machine's own
-	// delivery handling.
-	onDeliver noc.DeliverFunc
-
 	// rec, when set, captures every injection into a dependency trace.
 	rec *traffic.Recorder
 
@@ -314,7 +304,7 @@ const (
 )
 
 // NewMachine wires a machine to a network and kernel. It takes over the
-// network's delivery callback; chain further observers with SetObserver.
+// network's delivery and drop callbacks.
 func NewMachine(net *noc.Network, kernel *sim.Kernel, p Params) *Machine {
 	m := &Machine{
 		P: p, net: net, kernel: kernel,
@@ -376,9 +366,6 @@ func (m *Machine) retireTxn(t *txn) {
 	m.free = append(m.free, t)
 }
 
-// SetObserver installs an extra packet-delivery observer.
-func (m *Machine) SetObserver(fn noc.DeliverFunc) { m.onDeliver = fn }
-
 // SetRecorder attaches a dependency-trace recorder. It must be wired
 // before the first cycle of a fresh run (recorded gaps are absolute from
 // cycle 0).
@@ -393,16 +380,6 @@ func (m *Machine) AddApp(a *App) {
 	for _, mc := range a.MCTiles {
 		if m.mcs[mc] == nil {
 			m.mcs[mc] = &mcState{}
-		}
-	}
-}
-
-// RemoveApp detaches a finished application.
-func (m *Machine) RemoveApp(a *App) {
-	for i, x := range m.apps {
-		if x == a {
-			m.apps = append(m.apps[:i], m.apps[i+1:]...)
-			return
 		}
 	}
 }
@@ -540,9 +517,6 @@ func (m *Machine) deliver(p *noc.Packet, now sim.Cycle) {
 	case payloadCoh:
 		// Fire-and-forget coherence message: nothing further.
 	}
-	if m.onDeliver != nil {
-		m.onDeliver(p, now)
-	}
 }
 
 // Drop handles a packet a fault made undeliverable. The transaction it
@@ -649,12 +623,4 @@ func (m *Machine) appByID(id int) *App {
 		}
 	}
 	return nil
-}
-
-// MCServed returns total requests served by a memory controller.
-func (m *Machine) MCServed(tile noc.NodeID) int64 {
-	if mc := m.mcs[tile]; mc != nil {
-		return mc.served
-	}
-	return 0
 }

@@ -134,32 +134,6 @@ func (r Region) String() string { return fmt.Sprintf("%dx%d@(%d,%d)", r.W, r.H, 
 // WholeChip returns the region covering the full grid.
 func WholeChip(cfg noc.Config) Region { return Region{W: cfg.Width, H: cfg.Height} }
 
-// PartitionRows splits a w×h grid into min(shards, h) full-width Y-bands
-// of near-equal height (band i covers rows [i*h/k, (i+1)*h/k), so heights
-// differ by at most one and every row is covered exactly once). This is
-// the banding the sharded network tick uses to assign routers to worker
-// regions: Y-bands keep each shard's tiles contiguous in row-major ID
-// order and bound cross-shard traffic to the horizontal cut between
-// adjacent bands.
-func PartitionRows(w, h, shards int) []Region {
-	if w < 1 || h < 1 {
-		panic(fmt.Sprintf("topology: PartitionRows on empty grid %dx%d", w, h))
-	}
-	k := shards
-	if k < 1 {
-		k = 1
-	}
-	if k > h {
-		k = h
-	}
-	out := make([]Region, k)
-	for i := 0; i < k; i++ {
-		lo, hi := i*h/k, (i+1)*h/k
-		out[i] = Region{X: 0, Y: lo, W: w, H: hi - lo}
-	}
-	return out
-}
-
 // EnsureAdaptPorts grows a router to the Adapt-NoC port count (5 mesh +
 // 4 adaptable-link mux ports).
 func EnsureAdaptPorts(r *noc.Router) {

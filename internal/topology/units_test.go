@@ -106,10 +106,23 @@ func TestSplitDimGrouping(t *testing.T) {
 	}
 }
 
+// partitionRows is the sharded tick's banding of a w×h grid for a
+// requested shard count, as regions: k is clamped to [1, h] as
+// noc.Network.SetShards clamps it, and noc.RowBand places each band.
+func partitionRows(w, h, k int) []Region {
+	k = max(1, min(k, h))
+	out := make([]Region, k)
+	for i := range out {
+		lo, hi := noc.RowBand(h, k, i)
+		out[i] = Region{X: 0, Y: lo, W: w, H: hi - lo}
+	}
+	return out
+}
+
 // TestPartitionRowsEdgeWidths pins the degenerate shapes: single-row and
 // single-column grids, non-positive shard counts (clamped to one band),
 // shard counts past the row count (clamped to one band per row), and the
-// empty-grid panic.
+// empty-grid panic, which NewNetwork raises before any banding is done.
 func TestPartitionRowsEdgeWidths(t *testing.T) {
 	for _, tc := range []struct {
 		w, h, k  int
@@ -126,17 +139,17 @@ func TestPartitionRowsEdgeWidths(t *testing.T) {
 		{2, 5, 4, []int{1, 1, 1, 2}},
 		{2, 5, 5, []int{1, 1, 1, 1, 1}},
 	} {
-		regs := PartitionRows(tc.w, tc.h, tc.k)
+		regs := partitionRows(tc.w, tc.h, tc.k)
 		if len(regs) != len(tc.wantLens) {
-			t.Fatalf("PartitionRows(%d,%d,%d) gave %d bands, want %d", tc.w, tc.h, tc.k, len(regs), len(tc.wantLens))
+			t.Fatalf("partitionRows(%d,%d,%d) gave %d bands, want %d", tc.w, tc.h, tc.k, len(regs), len(tc.wantLens))
 		}
 		y := 0
 		for i, r := range regs {
 			if r.H != tc.wantLens[i] {
-				t.Errorf("PartitionRows(%d,%d,%d)[%d].H = %d, want %d", tc.w, tc.h, tc.k, i, r.H, tc.wantLens[i])
+				t.Errorf("partitionRows(%d,%d,%d)[%d].H = %d, want %d", tc.w, tc.h, tc.k, i, r.H, tc.wantLens[i])
 			}
 			if r.X != 0 || r.W != tc.w || r.Y != y {
-				t.Errorf("PartitionRows(%d,%d,%d)[%d] = %v, want full-width band at Y=%d", tc.w, tc.h, tc.k, i, r, y)
+				t.Errorf("partitionRows(%d,%d,%d)[%d] = %v, want full-width band at Y=%d", tc.w, tc.h, tc.k, i, r, y)
 			}
 			y += r.H
 		}
@@ -145,10 +158,12 @@ func TestPartitionRowsEdgeWidths(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("PartitionRows(%d,%d,1) on an empty grid did not panic", tc[0], tc[1])
+					t.Errorf("NewNetwork on an empty %dx%d grid did not panic", tc[0], tc[1])
 				}
 			}()
-			PartitionRows(tc[0], tc[1], 1)
+			cfg := noc.DefaultConfig()
+			cfg.Width, cfg.Height = tc[0], tc[1]
+			noc.NewNetwork(cfg)
 		}()
 	}
 }
@@ -158,13 +173,13 @@ func TestPartitionRowsCoversAndBalances(t *testing.T) {
 		{8, 8, 1}, {8, 8, 2}, {8, 8, 3}, {8, 8, 8}, {8, 8, 12},
 		{16, 16, 4}, {32, 32, 7}, {5, 3, 2},
 	} {
-		regs := PartitionRows(tc.w, tc.h, tc.k)
+		regs := partitionRows(tc.w, tc.h, tc.k)
 		wantK := tc.k
 		if wantK > tc.h {
 			wantK = tc.h
 		}
 		if len(regs) != wantK {
-			t.Fatalf("PartitionRows(%d,%d,%d) gave %d regions, want %d", tc.w, tc.h, tc.k, len(regs), wantK)
+			t.Fatalf("partitionRows(%d,%d,%d) gave %d regions, want %d", tc.w, tc.h, tc.k, len(regs), wantK)
 		}
 		nextY, minH, maxH := 0, tc.h, 0
 		for _, r := range regs {
@@ -192,29 +207,32 @@ func TestPartitionRowsCoversAndBalances(t *testing.T) {
 }
 
 // TestPartitionRowsMatchesNetworkBanding pins the agreement between the
-// exported partitioner and the banding the sharded network tick actually
-// uses: every router must land in the shard whose PartitionRows region
-// contains its row.
+// band regions and a built mesh network: the network keeps one shard per
+// band, and every router lies in exactly one band. Which shard the carve
+// gives each router is checked inside noc (TestCarveRowBands).
 func TestPartitionRowsMatchesNetworkBanding(t *testing.T) {
 	cfg := noc.DefaultConfig()
-	for _, k := range []int{1, 2, 3, 5, 8} {
+	for _, k := range []int{-1, 0, 1, 2, 3, 5, 8, 12} {
 		net := noc.NewNetwork(cfg)
 		BuildMesh(net)
 		net.SetShards(k)
-		regs := PartitionRows(cfg.Width, cfg.Height, k)
+		regs := partitionRows(cfg.Width, cfg.Height, k)
+		if net.Shards() != len(regs) {
+			t.Fatalf("shards=%d: network keeps %d shards, banding has %d bands", k, net.Shards(), len(regs))
+		}
 		for _, id := range WholeChip(cfg).Tiles(cfg.Width) {
-			got := net.ShardOfRouter(id)
 			c := noc.CoordOf(id, cfg.Width)
-			want := -1
-			for i, r := range regs {
+			in := 0
+			for _, r := range regs {
 				if r.Contains(c) {
-					want = i
+					in++
 				}
 			}
-			if got != want {
-				t.Fatalf("shards=%d router %d at %v: network shard %d, PartitionRows region %d", k, id, c, got, want)
+			if in != 1 {
+				t.Fatalf("shards=%d router %d at %v lies in %d bands, want 1", k, id, c, in)
 			}
 		}
+		net.StopWorkers()
 	}
 }
 

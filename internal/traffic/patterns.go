@@ -1,18 +1,15 @@
 package traffic
 
 import (
-	"fmt"
-
 	"adaptnoc/internal/noc"
 	"adaptnoc/internal/sim"
 )
 
-// Pattern generates destinations for synthetic open-loop traffic — the
-// standard NoC characterization workloads (uniform random, transpose,
-// bit-complement, hotspot, neighbour). They complement the closed-loop
+// Pattern generates destinations for synthetic open-loop traffic, the
+// standard NoC characterization workload. It complements the closed-loop
 // application profiles: the paper's subNoC topologies trade latency
-// against saturation throughput, and these patterns expose exactly that
-// trade-off (see exp.LatencyThroughput).
+// against saturation throughput, and open-loop uniform traffic exposes
+// exactly that trade-off (see exp.CharacterizeTopologies).
 type Pattern interface {
 	// Dst returns the destination tile for a packet sourced at src, or
 	// ok=false when the pattern gives src no partner (e.g. transpose on
@@ -25,10 +22,6 @@ type Pattern interface {
 // region bounds and helpers shared by the patterns.
 type patternRegion struct {
 	X, Y, W, H int
-}
-
-func (r patternRegion) contains(c noc.Coord) bool {
-	return c.X >= r.X && c.X < r.X+r.W && c.Y >= r.Y && c.Y < r.Y+r.H
 }
 
 // Uniform sends every packet to a uniformly random tile of the region.
@@ -51,92 +44,6 @@ func (u *Uniform) Dst(src noc.Coord, rng *sim.RNG) (noc.Coord, bool) {
 		}
 	}
 	return src, false
-}
-
-// Transpose sends (x, y) to (y, x) relative to the region origin — the
-// adversarial pattern for dimension-ordered routing.
-type Transpose struct{ Region patternRegion }
-
-// NewTranspose builds a transpose pattern over a square region.
-func NewTranspose(x, y, w, h int) *Transpose {
-	if w != h {
-		panic("traffic: transpose needs a square region")
-	}
-	return &Transpose{Region: patternRegion{x, y, w, h}}
-}
-
-// Name implements Pattern.
-func (t *Transpose) Name() string { return "transpose" }
-
-// Dst implements Pattern.
-func (t *Transpose) Dst(src noc.Coord, _ *sim.RNG) (noc.Coord, bool) {
-	rx, ry := src.X-t.Region.X, src.Y-t.Region.Y
-	d := noc.Coord{X: t.Region.X + ry, Y: t.Region.Y + rx}
-	return d, d != src
-}
-
-// BitComplement sends (x, y) to the diagonally opposite tile.
-type BitComplement struct{ Region patternRegion }
-
-// NewBitComplement builds a bit-complement pattern over a region.
-func NewBitComplement(x, y, w, h int) *BitComplement {
-	return &BitComplement{Region: patternRegion{x, y, w, h}}
-}
-
-// Name implements Pattern.
-func (b *BitComplement) Name() string { return "bitcomp" }
-
-// Dst implements Pattern.
-func (b *BitComplement) Dst(src noc.Coord, _ *sim.RNG) (noc.Coord, bool) {
-	d := noc.Coord{
-		X: b.Region.X + (b.Region.W - 1 - (src.X - b.Region.X)),
-		Y: b.Region.Y + (b.Region.H - 1 - (src.Y - b.Region.Y)),
-	}
-	return d, d != src
-}
-
-// HotspotPattern sends a fraction of traffic to one hot tile and the rest
-// uniformly — the many-to-one stress the paper's tree topology targets.
-type HotspotPattern struct {
-	Region patternRegion
-	Hot    noc.Coord
-	Frac   float64
-}
-
-// NewHotspot builds a hotspot pattern.
-func NewHotspot(x, y, w, h int, hot noc.Coord, frac float64) *HotspotPattern {
-	return &HotspotPattern{Region: patternRegion{x, y, w, h}, Hot: hot, Frac: frac}
-}
-
-// Name implements Pattern.
-func (h *HotspotPattern) Name() string { return fmt.Sprintf("hotspot%.0f", 100*h.Frac) }
-
-// Dst implements Pattern.
-func (h *HotspotPattern) Dst(src noc.Coord, rng *sim.RNG) (noc.Coord, bool) {
-	if rng.Bernoulli(h.Frac) && src != h.Hot {
-		return h.Hot, true
-	}
-	u := Uniform{Region: h.Region}
-	return u.Dst(src, rng)
-}
-
-// Neighbour sends each packet one hop east (wrapping inside the region) —
-// the best case for any grid topology.
-type Neighbour struct{ Region patternRegion }
-
-// NewNeighbour builds a nearest-neighbour pattern.
-func NewNeighbour(x, y, w, h int) *Neighbour {
-	return &Neighbour{Region: patternRegion{x, y, w, h}}
-}
-
-// Name implements Pattern.
-func (n *Neighbour) Name() string { return "neighbour" }
-
-// Dst implements Pattern.
-func (n *Neighbour) Dst(src noc.Coord, _ *sim.RNG) (noc.Coord, bool) {
-	d := src
-	d.X = n.Region.X + (src.X-n.Region.X+1)%n.Region.W
-	return d, d != src
 }
 
 // OpenLoopSource injects synthetic packets at a fixed per-tile rate

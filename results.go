@@ -55,11 +55,10 @@ type Results struct {
 // Run advances the simulation a fixed number of cycles.
 func (s *Sim) Run(cycles Cycle) { s.Kernel.RunFor(cycles) }
 
-// SetShards sets the network-tick shard count: 1 is serial, k > 1 ticks
-// the chip's row bands on k goroutines, and k <= 0 selects automatically
-// (parallel on multi-core hosts once the chip reaches 16×16). Sharding is
-// a runtime execution knob — any value computes byte-identical results —
-// so it is not part of Config and may be changed at any cycle boundary.
+// SetShards sets the network-tick shard count: 1 (or less) is serial, and
+// k > 1 ticks the chip's row bands on k goroutines. Sharding is a runtime
+// execution knob — any value computes byte-identical results — so it is
+// not part of Config and may be changed at any cycle boundary.
 func (s *Sim) SetShards(k int) { s.Net.SetShards(k) }
 
 // StopWorkers releases the shard worker goroutines of a parked
