@@ -140,7 +140,8 @@ type AppSpec struct {
 	ShareMCs int `json:"shareMCs,omitempty"`
 }
 
-// RLOptions configure the DesignAdaptNoC policy.
+// RLOptions configure the DesignAdaptNoC policy. The DQN's other
+// hyper-parameters are the paper's (rl.DefaultDQNConfig).
 type RLOptions struct {
 	// Pretrained supplies offline-trained weights (Section III-E); nil
 	// starts from fresh weights.
@@ -153,8 +154,6 @@ type RLOptions struct {
 	SharedAgent *rl.DQN `json:"-"`
 	// Train enables online learning (used by the offline training harness).
 	Train bool `json:"train,omitempty"`
-	// DQN overrides hyper-parameters; zero value uses the paper's.
-	DQN rl.DQNConfig `json:"dqn"`
 	// Epsilon overrides the exploration rate when EpsilonSet (Fig. 19
 	// sweep; zero is a valid rate).
 	Epsilon    float64 `json:"epsilon,omitempty"`
@@ -162,6 +161,19 @@ type RLOptions struct {
 	// Gamma overrides the discount factor when > 0 (Fig. 18 sweep).
 	Gamma float64 `json:"gamma,omitempty"`
 }
+
+// Fixed model constants. The memory timing and the energy model are
+// system.DefaultParams and power.DefaultParams; these are the per-design
+// ones.
+const (
+	// shortcutLinksPerApp is DesignShortcut's express-link budget per
+	// application.
+	shortcutLinksPerApp = 2
+	// pgWakeCycles and pgIdleCycles time DesignFTBYPG's power gating: a
+	// gated router wakes in 16 cycles and gates after 10 idle ones.
+	pgWakeCycles = 16
+	pgIdleCycles = 10
+)
 
 // maxGridDim bounds Config.Width/Height. Past 64×64 a single chip
 // outgrows both the paper's platform and what the sharded tick has been
@@ -184,19 +196,8 @@ type Config struct {
 	Seed uint64 `json:"seed"`
 	// EpochCycles is the control epoch (paper: 50000).
 	EpochCycles int `json:"epochCycles,omitempty"`
-	// Memory overrides the memory-hierarchy timing; zero value uses
-	// defaults.
-	Memory system.Params `json:"memory"`
-	// Power overrides the energy model; zero value uses defaults.
-	Power power.Params `json:"power"`
 	// RL configures the DesignAdaptNoC policy.
 	RL RLOptions `json:"rl"`
-	// ShortcutLinksPerApp is the express-link budget per application
-	// under DesignShortcut (default 2).
-	ShortcutLinksPerApp int `json:"shortcutLinksPerApp,omitempty"`
-	// PGWakeCycles / PGIdleCycles configure DesignFTBYPG power gating.
-	PGWakeCycles int `json:"pgWakeCycles,omitempty"`
-	PGIdleCycles int `json:"pgIdleCycles,omitempty"`
 
 	// Ablation knobs (default off = the paper's design).
 	//
@@ -284,7 +285,7 @@ func (c Config) Finite() bool {
 // their canonical forms are identical. NewSim(cfg) and
 // NewSim(cfg.Canonical()) build the same simulation.
 //
-// The returned config owns fresh Apps/MCTiles/DQN.Hidden storage; the
+// The returned config owns fresh Apps/MCTiles storage; the
 // RL.Pretrained and RL.SharedAgent pointers are shared (pretrained weights
 // are treated as immutable, and NewSim clones them before use).
 func (c Config) Canonical() Config {
@@ -300,38 +301,15 @@ func (c Config) Canonical() Config {
 	if cfg.EpochCycles == 0 {
 		cfg.EpochCycles = 50000
 	}
-	if cfg.Memory == (system.Params{}) {
-		cfg.Memory = system.DefaultParams()
-	}
-	if cfg.Power == (power.Params{}) {
-		cfg.Power = power.DefaultParams()
-	}
 
 	adapt := cfg.Design == DesignAdaptNoRL || cfg.Design == DesignAdaptNoC
 
 	// Per-design knobs: fill defaults where the design reads them, zero
 	// them where it does not (NewSim never looks, so differing values
 	// would change nothing but the config's hash).
-	if cfg.Design == DesignShortcut {
-		if cfg.ShortcutLinksPerApp == 0 {
-			cfg.ShortcutLinksPerApp = 2
-		}
-	} else {
-		cfg.ShortcutLinksPerApp = 0
-	}
-	if cfg.Design == DesignFTBYPG {
-		if cfg.PGWakeCycles == 0 {
-			cfg.PGWakeCycles = 16
-		}
-		if cfg.PGIdleCycles == 0 {
-			cfg.PGIdleCycles = 10
-		}
-	} else {
-		cfg.PGWakeCycles, cfg.PGIdleCycles = 0, 0
-	}
 	if adapt {
 		if cfg.SetupCycles == 0 {
-			cfg.SetupCycles = fabric.DefaultConfig().SetupCycles
+			cfg.SetupCycles = fabric.DefaultSetupCycles
 		}
 	} else {
 		cfg.SetupCycles = 0
@@ -354,17 +332,13 @@ func (c Config) Canonical() Config {
 		if cfg.RL.SharedAgent != nil {
 			cfg.RL.Pretrained = nil // SharedAgent overrides
 		}
-		if cfg.RL.DQN.ReplaySize == 0 {
-			cfg.RL.DQN = rl.DefaultDQNConfig()
+		// The one place the paper's exploration rate and discount factor
+		// fill in; newAgent only reads them.
+		if !cfg.RL.EpsilonSet {
+			cfg.RL.Epsilon, cfg.RL.EpsilonSet = rl.DefaultDQNConfig().Epsilon, true
 		}
-		cfg.RL.DQN.Hidden = append([]int(nil), cfg.RL.DQN.Hidden...)
-		if cfg.RL.EpsilonSet {
-			cfg.RL.DQN.Epsilon = cfg.RL.Epsilon
-			cfg.RL.Epsilon, cfg.RL.EpsilonSet = 0, false
-		}
-		if cfg.RL.Gamma > 0 {
-			cfg.RL.DQN.Gamma = cfg.RL.Gamma
-			cfg.RL.Gamma = 0
+		if cfg.RL.Gamma == 0 {
+			cfg.RL.Gamma = rl.DefaultDQNConfig().Gamma
 		}
 	}
 
@@ -432,8 +406,8 @@ func NewSim(cfg Config) (*Sim, error) {
 	s.Kernel = sim.NewKernel()
 	s.Net = noc.NewNetwork(ncfg)
 	s.Kernel.Register(s.Net)
-	s.Meter = power.NewMeter(s.Net, cfg.Power)
-	s.Machine = system.NewMachine(s.Net, s.Kernel, cfg.Memory)
+	s.Meter = power.NewMeter(s.Net, power.DefaultParams())
+	s.Machine = system.NewMachine(s.Net, s.Kernel, system.DefaultParams())
 
 	rng := sim.NewRNG(cfg.Seed ^ 0xadaf7)
 
@@ -447,7 +421,7 @@ func NewSim(cfg Config) (*Sim, error) {
 		if cfg.Design == DesignFTBYPG {
 			for _, r := range s.Net.Routers() {
 				if !r.Disabled() {
-					r.EnablePowerGating(sim.Cycle(cfg.PGWakeCycles), sim.Cycle(cfg.PGIdleCycles))
+					r.EnablePowerGating(pgWakeCycles, pgIdleCycles)
 				}
 			}
 		}
@@ -608,16 +582,8 @@ func (s *Sim) newAgent(rng *sim.RNG) *rl.DQN {
 	if s.Cfg.RL.SharedAgent != nil {
 		return s.Cfg.RL.SharedAgent
 	}
-	dcfg := s.Cfg.RL.DQN
-	if dcfg.ReplaySize == 0 {
-		dcfg = rl.DefaultDQNConfig()
-	}
-	if s.Cfg.RL.EpsilonSet {
-		dcfg.Epsilon = s.Cfg.RL.Epsilon
-	}
-	if s.Cfg.RL.Gamma > 0 {
-		dcfg.Gamma = s.Cfg.RL.Gamma
-	}
+	dcfg := rl.DefaultDQNConfig()
+	dcfg.Epsilon, dcfg.Gamma = s.Cfg.RL.Epsilon, s.Cfg.RL.Gamma // canonical: always set
 	if s.Cfg.RL.Pretrained != nil {
 		return rl.NewDQNFromNet(dcfg, s.Cfg.RL.Pretrained.Clone(), rng)
 	}
@@ -631,7 +597,7 @@ func (s *Sim) shortcutLinks(ncfg noc.Config) []topology.Shortcut {
 	var out []topology.Shortcut
 	for _, spec := range s.Cfg.Apps {
 		mc := noc.CoordOf(spec.MCTiles[0], ncfg.Width)
-		budget := s.Cfg.ShortcutLinksPerApp
+		budget := shortcutLinksPerApp
 		rowFar := noc.Coord{X: spec.Region.X + spec.Region.W - 1, Y: mc.Y}
 		if rowFar.X == mc.X {
 			rowFar.X = spec.Region.X
@@ -664,17 +630,19 @@ func abs(x int) int {
 
 // Reconfigure switches an application's subNoC to a new topology at
 // runtime using the staged deadlock-free protocol (Adapt designs only).
-// It is asynchronous: done (optional) runs when injection reopens. Under
-// DesignAdaptNoC the RL controller may immediately reconfigure again at
-// the next epoch; for manual control use DesignAdaptNoRL.
-func (s *Sim) Reconfigure(appIndex int, kind Kind, done func()) error {
+// It is asynchronous: the switch is complete once the subNoC's State()
+// (s.Fabric.SubNoCs()[appIndex]) is back to fabric.StateActive, and a
+// checkpoint taken before then resumes it. Under DesignAdaptNoC the RL
+// controller may immediately reconfigure again at the next epoch; for
+// manual control use DesignAdaptNoRL.
+func (s *Sim) Reconfigure(appIndex int, kind Kind) error {
 	if s.Fabric == nil {
 		return fmt.Errorf("adaptnoc: design %v has no reconfigurable fabric", s.Cfg.Design)
 	}
 	if appIndex < 0 || appIndex >= len(s.subnocs) {
 		return fmt.Errorf("adaptnoc: no application %d", appIndex)
 	}
-	return s.Fabric.Reconfigure(s.subnocs[appIndex], kind, done)
+	return s.Fabric.Reconfigure(s.subnocs[appIndex], kind)
 }
 
 // TickStats reports how many router and channel ticks the network skipped
@@ -709,8 +677,8 @@ func LoadPolicy(blob []byte) (*PolicyNet, error) {
 	return &n, nil
 }
 
-// DefaultPolicy returns the embedded offline-trained policy, or nil when
-// the build carries none (deployments then fall back to online learning).
+// DefaultPolicy returns a fresh copy of the embedded offline-trained
+// policy.
 func DefaultPolicy() *PolicyNet { return rl.Pretrained() }
 
 // centralMC returns the app's memory controller with the smallest total

@@ -3,6 +3,7 @@ package adaptnoc
 import (
 	"testing"
 
+	"adaptnoc/internal/fabric"
 	"adaptnoc/internal/noc"
 	"adaptnoc/internal/topology"
 )
@@ -190,11 +191,10 @@ func TestPublicReconfigureAPI(t *testing.T) {
 	}
 	s.Run(5000)
 	for _, kind := range []Kind{CMesh, TorusTree, Tree} {
-		done := false
-		if err := s.Reconfigure(0, kind, func() { done = true }); err != nil {
+		if err := s.Reconfigure(0, kind); err != nil {
 			t.Fatalf("reconfigure to %v: %v", kind, err)
 		}
-		for !done {
+		for s.Fabric.SubNoCs()[0].State() != fabric.StateActive {
 			s.Run(64)
 		}
 		if got := s.Topology(0); got != kind {
@@ -209,10 +209,10 @@ func TestPublicReconfigureAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.Reconfigure(0, Tree, nil); err == nil {
+	if err := s2.Reconfigure(0, Tree); err == nil {
 		t.Fatal("baseline accepted Reconfigure")
 	}
-	if err := s.Reconfigure(99, Tree, nil); err == nil {
+	if err := s.Reconfigure(99, Tree); err == nil {
 		t.Fatal("out-of-range app accepted")
 	}
 }

@@ -17,6 +17,7 @@ import (
 
 	"adaptnoc"
 	"adaptnoc/internal/exp"
+	"adaptnoc/internal/fabric"
 	"adaptnoc/internal/noc"
 	"adaptnoc/internal/rl"
 	"adaptnoc/internal/runner"
@@ -308,13 +309,13 @@ func BenchmarkReconfiguration(b *testing.B) {
 	}
 	s.Run(2000)
 	kinds := []adaptnoc.Kind{adaptnoc.Torus, adaptnoc.CMesh}
+	sn := s.Fabric.SubNoCs()[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		done := false
-		if err := s.Reconfigure(0, kinds[i%2], func() { done = true }); err != nil {
+		if err := s.Reconfigure(0, kinds[i%2]); err != nil {
 			b.Fatal(err)
 		}
-		for !done {
+		for sn.State() != fabric.StateActive {
 			s.Run(64)
 		}
 	}

@@ -21,6 +21,7 @@ import (
 	"testing"
 
 	"adaptnoc"
+	"adaptnoc/internal/fabric"
 	"adaptnoc/internal/fault"
 	"adaptnoc/internal/noc"
 	"adaptnoc/internal/rl"
@@ -149,7 +150,7 @@ func TestRestoreAfterEveryTopologyPair(t *testing.T) {
 					}
 					for _, k := range []adaptnoc.Kind{from, to} {
 						s.Run(2000)
-						if err := s.Reconfigure(0, k, nil); err != nil {
+						if err := s.Reconfigure(0, k); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -183,6 +184,58 @@ func TestRestoreAfterEveryTopologyPair(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestCheckpointMidManualSwitch checkpoints a manual Sim.Reconfigure at
+// each stage of the protocol — notification wave, drain, Ts setup — and
+// requires the restored twin to finish the switch and stay in lockstep.
+// The switch runs as descriptor events, the same as the controller's.
+func TestCheckpointMidManualSwitch(t *testing.T) {
+	cfg := adaptnoc.Config{
+		Design:      adaptnoc.DesignAdaptNoRL,
+		Apps:        []adaptnoc.AppSpec{{Profile: "canneal", Region: adaptnoc.Region{W: 4, H: 4}}},
+		Seed:        9,
+		EpochCycles: 1 << 30, // manual control only
+	}
+	s, err := adaptnoc.NewSim(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Run(3000)
+	if err := s.Reconfigure(0, adaptnoc.Torus); err != nil {
+		t.Fatal(err)
+	}
+	sn := s.Fabric.SubNoCs()[0]
+	blobs := map[fabric.SubNoCState][]byte{}
+	for sn.State() != fabric.StateActive {
+		if st := sn.State(); blobs[st] == nil {
+			blob, err := s.Checkpoint()
+			if err != nil {
+				t.Fatalf("checkpoint while %v: %v", st, err)
+			}
+			blobs[st] = blob
+		}
+		s.Run(1)
+	}
+	const end = 6000
+	s.Run(end - s.Kernel.Now())
+	want := resultsJSON(t, s.Results())
+	for _, st := range []fabric.SubNoCState{fabric.StateNotifying, fabric.StateDraining, fabric.StateSettingUp} {
+		if blobs[st] == nil {
+			t.Fatalf("switch never observed in state %v", st)
+		}
+		r, err := adaptnoc.RestoreSim(blobs[st])
+		if err != nil {
+			t.Fatalf("restore while %v: %v", st, err)
+		}
+		r.Run(end - r.Kernel.Now())
+		if got := r.Fabric.SubNoCs()[0]; got.State() != fabric.StateActive || got.Kind != adaptnoc.Torus {
+			t.Fatalf("restored while %v: subNoC %v on %v at cycle %d", st, got.State(), got.Kind, end)
+		}
+		if got := resultsJSON(t, r.Results()); !bytes.Equal(got, want) {
+			t.Errorf("restored while %v: results differ from the uninterrupted switch", st)
 		}
 	}
 }

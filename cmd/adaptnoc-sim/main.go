@@ -252,10 +252,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		if d == adaptnoc.DesignAdaptNoC {
 			cfg.RL.Pretrained = adaptnoc.DefaultPolicy()
-			if cfg.RL.Pretrained == nil {
-				fmt.Fprintln(stderr, "adaptnoc-sim: no embedded policy; training online")
-				cfg.RL.Train = true
-			}
 		}
 		if s, err = adaptnoc.NewSim(cfg); err != nil {
 			return err

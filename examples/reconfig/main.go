@@ -13,6 +13,7 @@ import (
 	"log"
 
 	"adaptnoc"
+	"adaptnoc/internal/fabric"
 )
 
 func main() {
@@ -43,14 +44,15 @@ func main() {
 	}
 
 	phase("initial mesh")
+	subnoc := sim.Fabric.SubNoCs()[0]
 	for _, kind := range []adaptnoc.Kind{adaptnoc.CMesh, adaptnoc.Torus, adaptnoc.Tree, adaptnoc.Mesh} {
-		done := false
-		if err := sim.Reconfigure(0, kind, func() { done = true }); err != nil {
+		if err := sim.Reconfigure(0, kind); err != nil {
 			log.Fatal(err)
 		}
 		// The switch is asynchronous; traffic keeps flowing while the
-		// notification wave propagates and the region drains.
-		for !done {
+		// notification wave propagates and the region drains. It is done
+		// when injection reopens and the subNoC is active again.
+		for subnoc.State() != fabric.StateActive {
 			sim.Run(100)
 		}
 		phase(fmt.Sprintf("after switch to %v", kind))

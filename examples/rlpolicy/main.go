@@ -28,10 +28,6 @@ func main() {
 		EpochCycles: 10000,
 	}
 	cfg.RL.Pretrained = adaptnoc.DefaultPolicy()
-	if cfg.RL.Pretrained == nil {
-		// No embedded weights in this build: learn online instead.
-		cfg.RL.Train = true
-	}
 
 	sim, err := adaptnoc.NewSim(cfg)
 	if err != nil {

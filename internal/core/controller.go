@@ -249,7 +249,7 @@ func (c *Controller) processBinding(b *Binding, now sim.Cycle) {
 	b.prevState, b.prevAction, b.hasPrev = state, chosen, true
 
 	if chosen != b.SubNoC.Kind && b.SubNoC.State() == fabric.StateActive {
-		if err := c.fab.Reconfigure(b.SubNoC, chosen, nil); err != nil {
+		if err := c.fab.Reconfigure(b.SubNoC, chosen); err != nil {
 			panic(fmt.Sprintf("core: reconfigure subNoC %d: %v", b.SubNoC.ID, err))
 		}
 	}

@@ -22,8 +22,8 @@ type LatThroughputPoint struct {
 // latThroughputPoint measures one (topology, rate) point on its own raw
 // network and kernel. It is fully self-contained, so points fan out over
 // the runner pool; seed must already include the per-point offset.
-func latThroughputPoint(kind topology.Kind, reg topology.Region, pat func(topology.Region) traffic.Pattern,
-	rate float64, cyclesPerPoint sim.Cycle, seed uint64) (LatThroughputPoint, error) {
+func latThroughputPoint(kind topology.Kind, reg topology.Region, rate float64,
+	cyclesPerPoint sim.Cycle, seed uint64) (LatThroughputPoint, error) {
 
 	const satLatency = 500.0
 	cfg := noc.DefaultConfig()
@@ -53,7 +53,7 @@ func latThroughputPoint(kind topology.Kind, reg topology.Region, pat func(topolo
 		n++
 	})
 	src := &traffic.OpenLoopSource{
-		Net: net, Pat: pat(reg), Tiles: reg.Tiles(cfg.Width),
+		Net: net, Pat: traffic.NewUniform(reg.X, reg.Y, reg.W, reg.H), Tiles: reg.Tiles(cfg.Width),
 		Rate: rate, DataPct: 0.5, RNG: sim.NewRNG(seed),
 	}
 	k.Register(src)
@@ -74,9 +74,6 @@ func latThroughputPoint(kind topology.Kind, reg topology.Region, pat func(topolo
 func CharacterizeTopologies(cyclesPerPoint sim.Cycle, seed uint64, parallelism int) (Table, error) {
 	rates := []float64{0.005, 0.01, 0.02, 0.04, 0.08, 0.12}
 	reg := topology.Region{W: 4, H: 4}
-	uni := func(r topology.Region) traffic.Pattern {
-		return traffic.NewUniform(r.X, r.Y, r.W, r.H)
-	}
 	t := Table{
 		Title:   "Extra — latency-throughput characterization, uniform traffic, 4x4 subNoC",
 		Columns: []string{"rate"},
@@ -101,7 +98,7 @@ func CharacterizeTopologies(cyclesPerPoint sim.Cycle, seed uint64, parallelism i
 		func(_ context.Context, j cell) (LatThroughputPoint, error) {
 			// seed + rate index: every topology sees the same stream at a
 			// given rate, whatever the pool's order.
-			return latThroughputPoint(kinds[j.kind], reg, uni, rates[j.rate], cyclesPerPoint, seed+uint64(j.rate))
+			return latThroughputPoint(kinds[j.kind], reg, rates[j.rate], cyclesPerPoint, seed+uint64(j.rate))
 		})
 	if err != nil {
 		return t, err

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"adaptnoc/internal/topology"
-	"adaptnoc/internal/traffic"
 )
 
 func TestCharacterizeTopologies(t *testing.T) {
@@ -24,12 +23,9 @@ func TestCharacterizeTopologies(t *testing.T) {
 
 func TestLatencyThroughputMonotoneAtLowLoad(t *testing.T) {
 	reg := topology.Region{W: 4, H: 4}
-	uni := func(r topology.Region) traffic.Pattern {
-		return traffic.NewUniform(r.X, r.Y, r.W, r.H)
-	}
 	var pts []LatThroughputPoint
 	for i, rate := range []float64{0.005, 0.02, 0.6} {
-		pt, err := latThroughputPoint(topology.Mesh, reg, uni, rate, 20000, 3+uint64(i))
+		pt, err := latThroughputPoint(topology.Mesh, reg, rate, 20000, 3+uint64(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,14 +47,11 @@ func TestLatencyThroughputMonotoneAtLowLoad(t *testing.T) {
 
 func TestCMeshSaturatesBeforeMesh(t *testing.T) {
 	reg := topology.Region{W: 4, H: 4}
-	uni := func(r topology.Region) traffic.Pattern {
-		return traffic.NewUniform(r.X, r.Y, r.W, r.H)
-	}
-	mesh, err := latThroughputPoint(topology.Mesh, reg, uni, 0.12, 20000, 3)
+	mesh, err := latThroughputPoint(topology.Mesh, reg, 0.12, 20000, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmesh, err := latThroughputPoint(topology.CMesh, reg, uni, 0.12, 20000, 3)
+	cmesh, err := latThroughputPoint(topology.CMesh, reg, 0.12, 20000, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,9 +35,6 @@ type Options struct {
 	EpochCycles int
 	// Seed drives all randomness.
 	Seed uint64
-	// Agent supplies pretrained DQN weights; nil trains online during the
-	// run (slower to converge but self-contained).
-	Agent *rl.Net
 	// OracleProbeCycles is the probe window used to pick the statically
 	// best topology for Adapt-NoC-noRL (0 = use heuristic defaults).
 	OracleProbeCycles adaptnoc.Cycle
@@ -107,7 +104,6 @@ func DefaultOptions() Options {
 		Budget:            300000,
 		EpochCycles:       10000,
 		Seed:              2021,
-		Agent:             rl.Pretrained(),
 		OracleProbeCycles: 150000,
 	}
 }
@@ -119,7 +115,6 @@ func QuickOptions() Options {
 		Budget:            2500,
 		EpochCycles:       10000,
 		Seed:              2021,
-		Agent:             rl.Pretrained(),
 		OracleProbeCycles: 30000,
 	}
 }
@@ -146,14 +141,15 @@ func (o Options) buildConfig(d adaptnoc.Design, apps []adaptnoc.AppSpec) adaptno
 		EpochCycles: o.EpochCycles,
 	}
 	if d == adaptnoc.DesignAdaptNoC {
-		if o.Agent != nil {
-			cfg.RL.Pretrained = o.Agent
-		} else {
-			cfg.RL.Train = true
-		}
+		cfg.RL.Pretrained = policy
 	}
 	return cfg
 }
+
+// policy is the embedded offline-trained network every Adapt-NoC run
+// deploys, parsed once. Configs share it read-only: NewSim clones the
+// weights it is given.
+var policy = rl.Pretrained()
 
 // checkpointFile names a simulation's checkpoint: the SHA-256 of its
 // canonical config JSON, so any two runs of the same simulation — across

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"adaptnoc"
+	"adaptnoc/internal/fabric"
 	"adaptnoc/internal/runner"
 )
 
@@ -30,17 +31,16 @@ func gatedPerSwitch(reg adaptnoc.Region, loaded bool) (float64, error) {
 	s.Run(2000)
 	const switches = 8
 	kinds := []adaptnoc.Kind{adaptnoc.CMesh, adaptnoc.Mesh}
+	sn := s.Fabric.SubNoCs()[0]
 	for i := 0; i < switches; i++ {
-		done := false
-		if err := s.Reconfigure(0, kinds[i%2], func() { done = true }); err != nil {
+		if err := s.Reconfigure(0, kinds[i%2]); err != nil {
 			return 0, err
 		}
-		for !done {
+		for sn.State() != fabric.StateActive {
 			s.Run(16)
 		}
 		s.Run(400)
 	}
-	sn := s.Fabric.SubNoCs()[0]
 	return float64(sn.ReconfigCycles) / float64(sn.Reconfigs), nil
 }
 

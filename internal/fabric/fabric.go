@@ -17,20 +17,26 @@ import (
 	"adaptnoc/internal/topology"
 )
 
+// Reconfiguration timing shared with the fault engine's drains.
+const (
+	// DefaultSetupCycles is the paper's Ts, the router connection/table
+	// setup time during which route computation stalls (Section IV-A).
+	DefaultSetupCycles = 14
+	// DrainTimeout bounds the wait for a region to quiesce; exceeding it
+	// panics (it would mean packets are stuck, i.e. a routing bug).
+	DrainTimeout sim.Cycle = 50000
+)
+
 // Config carries the fabric's reconfiguration timing parameters.
 type Config struct {
-	// SetupCycles is Ts, the router connection/table setup time during
-	// which route computation stalls (14 cycles, Section IV-A).
+	// SetupCycles is Ts (DefaultSetupCycles unless an ablation stretches
+	// it).
 	SetupCycles int
-	// DrainTimeout bounds the wait for a region to quiesce during
-	// reconfiguration; exceeding it panics (it would mean packets are
-	// stuck, i.e. a routing bug).
-	DrainTimeout sim.Cycle
 }
 
 // DefaultConfig returns the paper's timing parameters.
 func DefaultConfig() Config {
-	return Config{SetupCycles: 14, DrainTimeout: 50000}
+	return Config{SetupCycles: DefaultSetupCycles}
 }
 
 // SubNoCState tracks the reconfiguration lifecycle.

@@ -258,15 +258,14 @@ func TestMCSharingDeliversForeignTraffic(t *testing.T) {
 // kernel (other subNoCs keep running normally), so a test can check the
 // wiring and routes right after the switch.
 func (f *Fabric) ReconfigureBlocking(sn *SubNoC, kind topology.Kind) error {
-	doneFlag := false
-	if err := f.Reconfigure(sn, kind, func() { doneFlag = true }); err != nil {
+	if err := f.Reconfigure(sn, kind); err != nil {
 		return err
 	}
-	guard := f.kernel.Now() + 4*f.cfg.DrainTimeout
-	for !doneFlag && f.kernel.Now() < guard {
+	guard := f.kernel.Now() + 4*DrainTimeout
+	for sn.State() != StateActive && f.kernel.Now() < guard {
 		f.kernel.Step()
 	}
-	if !doneFlag {
+	if sn.State() != StateActive {
 		return fmt.Errorf("fabric: reconfiguration of subNoC %d did not complete", sn.ID)
 	}
 	return nil

@@ -25,10 +25,12 @@ import (
 //     stalls for the Ts=14-cycle connection-setup window.
 //  4. Injection reopens.
 //
-// Reconfigure is asynchronous: it returns immediately and done (optional)
-// runs when the subNoC is active again. A subNoC mid-reconfiguration
+// Reconfigure is asynchronous: it returns immediately and the protocol
+// runs as descriptor events, so a checkpoint can capture a switch at any
+// stage and a restored kernel resumes it. The subNoC's State() is back to
+// StateActive once injection reopens. A subNoC mid-reconfiguration
 // rejects further Reconfigure calls.
-func (f *Fabric) Reconfigure(sn *SubNoC, kind topology.Kind, done func()) error {
+func (f *Fabric) Reconfigure(sn *SubNoC, kind topology.Kind) error {
 	if f.kernel == nil {
 		return fmt.Errorf("fabric: runtime reconfiguration needs a kernel")
 	}
@@ -36,36 +38,17 @@ func (f *Fabric) Reconfigure(sn *SubNoC, kind topology.Kind, done func()) error 
 		// A frozen fabric (fault engine owns the wiring) turns topology
 		// switches into silent no-ops: the epoch controller keeps running
 		// and must not treat a fault-degraded chip as a fatal error.
-		if done != nil {
-			done()
-		}
 		return nil
 	}
 	if sn.state != StateActive {
 		return fmt.Errorf("fabric: subNoC %d is %v, cannot reconfigure", sn.ID, sn.state)
 	}
 	if kind == sn.Kind {
-		if done != nil {
-			done()
-		}
 		return nil
 	}
 	sn.state = StateNotifying
 	sn.Reconfigs++
-	wave := f.notificationWave(sn.Region)
-	if done == nil {
-		// The normal (controller) path schedules descriptor events, so a
-		// checkpoint can capture a reconfiguration mid-protocol and a
-		// restored kernel resumes it.
-		f.kernel.AfterOp(wave, opReconfigDrain, int64(sn.ID), int64(kind), 0)
-	} else {
-		// A completion callback cannot be serialized; this path keeps the
-		// closure form (Sim.Reconfigure's done callback) and a checkpoint taken
-		// mid-protocol reports the pending closure as unserializable.
-		f.kernel.After(wave, func(now sim.Cycle) {
-			f.beginDrain(sn, kind, now, done)
-		})
-	}
+	f.kernel.AfterOp(f.notificationWave(sn.Region), opReconfigDrain, int64(sn.ID), int64(kind), 0)
 	return nil
 }
 
@@ -85,7 +68,7 @@ const (
 // registerOps binds the reconfiguration protocol's descriptor events.
 func (f *Fabric) registerOps() {
 	f.kernel.RegisterOp(opReconfigDrain, func(now sim.Cycle, args [3]int64) {
-		f.beginDrain(f.subnocByID(int(args[0])), topology.Kind(args[1]), now, nil)
+		f.beginDrain(f.subnocByID(int(args[0])), topology.Kind(args[1]), now)
 	})
 	f.kernel.RegisterOp(opReconfigPoll, func(now sim.Cycle, args [3]int64) {
 		f.pollDrain(f.subnocByID(int(args[0])), topology.Kind(args[1]), sim.Cycle(args[2]), now)
@@ -116,31 +99,20 @@ func (f *Fabric) notificationWave(reg topology.Region) sim.Cycle {
 }
 
 // beginDrain gates injection and polls for quiescence.
-func (f *Fabric) beginDrain(sn *SubNoC, kind topology.Kind, start sim.Cycle, done func()) {
+func (f *Fabric) beginDrain(sn *SubNoC, kind topology.Kind, start sim.Cycle) {
 	sn.state = StateDraining
 	f.GateRegion(sn.Region, true)
-	if done == nil {
-		f.kernel.AfterOp(1, opReconfigPoll, int64(sn.ID), int64(kind), int64(start))
-		return
-	}
-	var poll func(now sim.Cycle)
-	poll = func(now sim.Cycle) {
-		if !f.drainComplete(sn, start, now) {
-			f.kernel.After(1, poll)
-			return
-		}
-		f.performSwitch(sn, kind, now, start, done)
-	}
-	f.kernel.After(1, poll)
+	f.kernel.AfterOp(1, opReconfigPoll, int64(sn.ID), int64(kind), int64(start))
 }
 
-// pollDrain is the descriptor-event form of the drain poll.
+// pollDrain re-checks quiescence once per cycle and switches when the
+// region has drained.
 func (f *Fabric) pollDrain(sn *SubNoC, kind topology.Kind, start, now sim.Cycle) {
 	if !f.drainComplete(sn, start, now) {
 		f.kernel.AfterOp(1, opReconfigPoll, int64(sn.ID), int64(kind), int64(start))
 		return
 	}
-	f.performSwitch(sn, kind, now, start, nil)
+	f.performSwitch(sn, kind, start)
 }
 
 // drainComplete reports quiescence, panicking past the drain deadline.
@@ -148,26 +120,19 @@ func (f *Fabric) drainComplete(sn *SubNoC, start, now sim.Cycle) bool {
 	if f.regionQuiescent(sn.Region) && f.sharesQuiescent(sn) {
 		return true
 	}
-	if now >= start+f.cfg.DrainTimeout {
+	if now >= start+DrainTimeout {
 		panic(fmt.Sprintf("fabric: subNoC %d failed to drain within %d cycles",
-			sn.ID, f.cfg.DrainTimeout))
+			sn.ID, DrainTimeout))
 	}
 	return false
 }
 
 // performSwitch executes the physical reconfiguration and schedules the
 // injection reopening after the Ts setup window.
-func (f *Fabric) performSwitch(sn *SubNoC, kind topology.Kind, now, gatedSince sim.Cycle, done func()) {
+func (f *Fabric) performSwitch(sn *SubNoC, kind topology.Kind, gatedSince sim.Cycle) {
 	sn.state = StateSettingUp
 	f.switchTopology(sn, kind)
-	if done == nil {
-		f.kernel.AfterOp(sim.Cycle(f.cfg.SetupCycles), opReconfigOpen, int64(sn.ID), int64(gatedSince), 0)
-		return
-	}
-	f.kernel.After(sim.Cycle(f.cfg.SetupCycles), func(end sim.Cycle) {
-		f.openRegion(sn, gatedSince, end)
-		done()
-	})
+	f.kernel.AfterOp(sim.Cycle(f.cfg.SetupCycles), opReconfigOpen, int64(sn.ID), int64(gatedSince), 0)
 }
 
 // switchTopology is the physical part of a switch: shares touching this

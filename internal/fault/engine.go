@@ -30,12 +30,8 @@ type Options struct {
 	// inspect, so it cannot prove a partially masked port still admits
 	// every packet class; escalation keeps the run deadlock-free.
 	EscalateVCFaults bool
-	// DrainTimeout bounds the wait for quiescence after a strike; 0 means
-	// the fabric default (50000 cycles). Exceeding it panics — it would
-	// mean packets are stuck before the damage even lands.
-	DrainTimeout sim.Cycle
 	// SetupCycles is the Ts table-setup stall charged after every damage
-	// application; 0 means the paper's 14.
+	// application; 0 means fabric.DefaultSetupCycles.
 	SetupCycles int
 }
 
@@ -122,11 +118,8 @@ func New(net *noc.Network, kernel *sim.Kernel, fab *fabric.Fabric, sched []Event
 			return nil, fmt.Errorf("fault: events[%d].%s: %s", i, ce.Field, ce.Msg)
 		}
 	}
-	if opts.DrainTimeout == 0 {
-		opts.DrainTimeout = 50000
-	}
 	if opts.SetupCycles == 0 {
-		opts.SetupCycles = 14
+		opts.SetupCycles = fabric.DefaultSetupCycles
 	}
 	e := &Engine{
 		net: net, kernel: kernel, fab: fab,
@@ -206,9 +199,11 @@ func (e *Engine) poll(now sim.Cycle) {
 	if !e.draining {
 		return // stale poll after an apply in the same cycle
 	}
-	if now > e.drainStart+e.opts.DrainTimeout {
+	// The fabric's bound: exceeding it would mean packets are stuck
+	// before the damage even lands.
+	if now > e.drainStart+fabric.DrainTimeout {
 		panic(fmt.Sprintf("fault: network failed to drain within %d cycles of the strike at %d",
-			e.opts.DrainTimeout, e.drainStart))
+			fabric.DrainTimeout, e.drainStart))
 	}
 	if !e.fabricSettled() {
 		e.repoll()

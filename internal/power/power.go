@@ -18,25 +18,25 @@ import (
 
 // Params holds the technology constants.
 type Params struct {
-	ClockGHz float64 `json:"clockGHz"` // core/network clock
+	ClockGHz float64 // core/network clock
 
 	// Dynamic energy per event, picojoules.
-	BufferWritePJ     float64 `json:"bufferWritePJ"`     // per flit written (256-bit flit)
-	BufferReadPJ      float64 `json:"bufferReadPJ"`      // per flit read at switch traversal
-	CrossbarPJ        float64 `json:"crossbarPJ"`        // per flit crossbar traversal (5x5 baseline)
-	CrossbarPerPortPJ float64 `json:"crossbarPerPortPJ"` // additional per-flit cost per port beyond 5 (high radix)
-	ArbitrationPJ     float64 `json:"arbitrationPJ"`     // per VA or SA grant
-	LinkPJPerMM       float64 `json:"linkPJPerMM"`       // per flit per millimetre of wire
-	MuxPJ             float64 `json:"muxPJ"`             // per flit through an adaptable-router mux
-	RLInferencePJ     float64 `json:"rlInferencePJ"`     // per DQN forward pass (one adder + one multiplier serialized)
+	BufferWritePJ     float64 // per flit written (256-bit flit)
+	BufferReadPJ      float64 // per flit read at switch traversal
+	CrossbarPJ        float64 // per flit crossbar traversal (5x5 baseline)
+	CrossbarPerPortPJ float64 // additional per-flit cost per port beyond 5 (high radix)
+	ArbitrationPJ     float64 // per VA or SA grant
+	LinkPJPerMM       float64 // per flit per millimetre of wire
+	MuxPJ             float64 // per flit through an adaptable-router mux
+	RLInferencePJ     float64 // per DQN forward pass (one adder + one multiplier serialized)
 
 	// Static (leakage) power, milliwatts.
-	RouterStaticBaseMW       float64 `json:"routerStaticBaseMW"`       // crossbar + allocators of a 5-port router
-	RouterStaticPerPortMW    float64 `json:"routerStaticPerPortMW"`    // additional leakage per port beyond 5
-	BufferStaticPerFlitMW    float64 `json:"bufferStaticPerFlitMW"`    // per flit of buffering
-	MeshLinkStaticMW         float64 `json:"meshLinkStaticMW"`         // per active mesh/local link
-	AdaptLinkStaticPerMMMW   float64 `json:"adaptLinkStaticPerMMMW"`   // per mm of active adaptable segment (paper: 11.5 mW per 8 mm link)
-	ExpressLinkStaticPerMMMW float64 `json:"expressLinkStaticPerMMMW"` // per mm of express wiring (FTBY, shortcut)
+	RouterStaticBaseMW       float64 // crossbar + allocators of a 5-port router
+	RouterStaticPerPortMW    float64 // additional leakage per port beyond 5
+	BufferStaticPerFlitMW    float64 // per flit of buffering
+	MeshLinkStaticMW         float64 // per active mesh/local link
+	AdaptLinkStaticPerMMMW   float64 // per mm of active adaptable segment (paper: 11.5 mW per 8 mm link)
+	ExpressLinkStaticPerMMMW float64 // per mm of express wiring (FTBY, shortcut)
 }
 
 // DefaultParams returns 45 nm constants.

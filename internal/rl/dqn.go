@@ -50,13 +50,13 @@ func (rb *ReplayBuffer) Sample(rng *sim.RNG) Experience {
 
 // DQNConfig carries the Section III-E / IV-A hyper-parameters.
 type DQNConfig struct {
-	Hidden       []int   `json:"hidden"`       // hidden layer sizes (paper: 15, 15)
-	LearningRate float64 `json:"learningRate"` // neural-network learning rate (paper: 1e-4)
-	Gamma        float64 `json:"gamma"`        // discount factor (paper: 0.9)
-	Epsilon      float64 `json:"epsilon"`      // exploration rate (paper: 0.05)
-	ReplaySize   int     `json:"replaySize"`   // experiences (paper: 1000)
-	Minibatch    int     `json:"minibatch"`    // SGD samples per training iteration (paper: 100)
-	TargetSync   int     `json:"targetSync"`   // iterations between target-network syncs (paper: 168)
+	Hidden       []int   // hidden layer sizes (paper: 15, 15)
+	LearningRate float64 // neural-network learning rate (paper: 1e-4)
+	Gamma        float64 // discount factor (paper: 0.9)
+	Epsilon      float64 // exploration rate (paper: 0.05)
+	ReplaySize   int     // experiences (paper: 1000)
+	Minibatch    int     // SGD samples per training iteration (paper: 100)
+	TargetSync   int     // iterations between target-network syncs (paper: 168)
 }
 
 // DefaultDQNConfig returns the paper's hyper-parameters.

@@ -34,18 +34,26 @@ func TestConfigKeyCanonicalEquivalence(t *testing.T) {
 	base := mustKey(t, keyConfig())
 
 	explicit := keyConfig()
-	explicit.EpochCycles = 50000 // the default, spelled out
-	explicit.RL.DQN = rl.DefaultDQNConfig()
+	explicit.EpochCycles = 50000 // the defaults, spelled out
+	explicit.RL.Gamma = rl.DefaultDQNConfig().Gamma
+	explicit.RL.Epsilon, explicit.RL.EpsilonSet = rl.DefaultDQNConfig().Epsilon, true
 	if got := mustKey(t, explicit); got != base {
 		t.Errorf("explicit defaults changed the key: %s vs %s", got, base)
 	}
 
-	// Knobs the selected design never reads must not influence the key.
-	ignored := keyConfig()
-	ignored.PGWakeCycles = 99 // only DesignFTBYPG reads power gating
-	ignored.ShortcutLinksPerApp = 7
-	if got := mustKey(t, ignored); got != base {
-		t.Errorf("design-irrelevant knobs changed the key: %s vs %s", got, base)
+	// Knobs the selected design never reads must not influence the key:
+	// the fabric's timing and bypass, the tabular agent and the DQN's
+	// hyper-parameters exist only under the Adapt designs.
+	baseline := keyConfig()
+	baseline.Design = adaptnoc.DesignBaseline
+	bkey := mustKey(t, baseline)
+	ignored := baseline
+	ignored.SetupCycles = 99
+	ignored.NoInjectionBypass = true
+	ignored.UseQTable = true
+	ignored.RL.Gamma = 0.5 // only DesignAdaptNoC's DQN reads it
+	if got := mustKey(t, ignored); got != bkey {
+		t.Errorf("design-irrelevant knobs changed the key: %s vs %s", got, bkey)
 	}
 
 	// The same configuration arriving as wire JSON, fields deliberately

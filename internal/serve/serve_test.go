@@ -466,6 +466,34 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// Config keys that once set model constants (memory timing, the energy
+// model, fixed DQN hyper-parameters, Shortcut's link budget, FTBY-PG's
+// gating timing) are unknown fields now: a submission carrying one is a
+// 400 naming it, never a run. The memory and power values are inputs that
+// used to crash or poison a run.
+func TestRemovedConfigKnobsAnswer400(t *testing.T) {
+	_, base := newTestServer(t, serve.Options{})
+	for _, tc := range []struct{ key, fragment string }{
+		{"memory", `"memory":{"l2LatencyCycles":8,"mcLatencyCycles":-100,"mcServiceCycles":2}`},
+		{"power", `"power":{"clockGHz":0}`},
+		{"dqn", `"rl":{"dqn":{"replaySize":1000}}`},
+		{"shortcutLinksPerApp", `"shortcutLinksPerApp":2`},
+		{"pgWakeCycles", `"pgWakeCycles":16`},
+		{"pgIdleCycles", `"pgIdleCycles":10`},
+	} {
+		body := `{"config": {"design": "adapt-noc", "apps": [{"profile": "bfs", "region": {"w": 4, "h": 4}}], ` + tc.fragment + `}, "cycles": 1000}`
+		resp, err := http.Post(base+"/v1/sims", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(blob), tc.key) {
+			t.Errorf("%s: %s %s, want 400 naming the key", tc.key, resp.Status, blob)
+		}
+	}
+}
+
 func TestMetricsExposition(t *testing.T) {
 	_, base := newTestServer(t, serve.Options{})
 	first, _ := submit(t, base, fastRequest(60))

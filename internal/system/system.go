@@ -18,9 +18,9 @@ import (
 
 // Params are the memory-hierarchy timing constants.
 type Params struct {
-	L2LatencyCycles int `json:"l2LatencyCycles"` // L2 slice lookup
-	MCLatencyCycles int `json:"mcLatencyCycles"` // DRAM access latency
-	MCServiceCycles int `json:"mcServiceCycles"` // minimum spacing between MC request services (bandwidth)
+	L2LatencyCycles int // L2 slice lookup
+	MCLatencyCycles int // DRAM access latency
+	MCServiceCycles int // minimum spacing between MC request services (bandwidth)
 }
 
 // DefaultParams returns timings typical of the paper's 2 GHz setup.

@@ -5,40 +5,24 @@ import (
 	"adaptnoc/internal/sim"
 )
 
-// Pattern generates destinations for synthetic open-loop traffic, the
-// standard NoC characterization workload. It complements the closed-loop
-// application profiles: the paper's subNoC topologies trade latency
-// against saturation throughput, and open-loop uniform traffic exposes
-// exactly that trade-off (see exp.CharacterizeTopologies).
-type Pattern interface {
-	// Dst returns the destination tile for a packet sourced at src, or
-	// ok=false when the pattern gives src no partner (e.g. transpose on
-	// the diagonal).
-	Dst(src noc.Coord, rng *sim.RNG) (noc.Coord, bool)
-	// Name identifies the pattern.
-	Name() string
-}
-
-// region bounds and helpers shared by the patterns.
-type patternRegion struct {
-	X, Y, W, H int
-}
-
-// Uniform sends every packet to a uniformly random tile of the region.
-type Uniform struct{ Region patternRegion }
+// Uniform generates destinations for synthetic open-loop traffic, the
+// standard NoC characterization workload: every packet goes to a uniformly
+// random tile of the region. It complements the closed-loop application
+// profiles: the paper's subNoC topologies trade latency against
+// saturation throughput, and open-loop uniform traffic exposes exactly
+// that trade-off (see exp.CharacterizeTopologies).
+type Uniform struct{ X, Y, W, H int }
 
 // NewUniform builds a uniform-random pattern over a region.
 func NewUniform(x, y, w, h int) *Uniform {
-	return &Uniform{Region: patternRegion{x, y, w, h}}
+	return &Uniform{x, y, w, h}
 }
 
-// Name implements Pattern.
-func (u *Uniform) Name() string { return "uniform" }
-
-// Dst implements Pattern.
+// Dst returns the destination tile for a packet sourced at src, or
+// ok=false when eight draws all hit src.
 func (u *Uniform) Dst(src noc.Coord, rng *sim.RNG) (noc.Coord, bool) {
 	for tries := 0; tries < 8; tries++ {
-		d := noc.Coord{X: u.Region.X + rng.Intn(u.Region.W), Y: u.Region.Y + rng.Intn(u.Region.H)}
+		d := noc.Coord{X: u.X + rng.Intn(u.W), Y: u.Y + rng.Intn(u.H)}
 		if d != src {
 			return d, true
 		}
@@ -52,7 +36,7 @@ func (u *Uniform) Dst(src noc.Coord, rng *sim.RNG) (noc.Coord, bool) {
 // bound past saturation. It implements sim.Ticker.
 type OpenLoopSource struct {
 	Net     *noc.Network
-	Pat     Pattern
+	Pat     *Uniform
 	Tiles   []noc.NodeID
 	Rate    float64 // packets per node per cycle
 	DataPct float64 // fraction of packets that are multi-flit data

@@ -50,14 +50,3 @@ func TestOpenLoopSourceRate(t *testing.T) {
 		t.Fatalf("pending %d != injected %d", net.PendingPackets(), src.Injected)
 	}
 }
-
-func TestPatternNames(t *testing.T) {
-	pats := []Pattern{NewUniform(0, 0, 4, 4)}
-	seen := map[string]bool{}
-	for _, p := range pats {
-		if p.Name() == "" || seen[p.Name()] {
-			t.Fatalf("bad/duplicate pattern name %q", p.Name())
-		}
-		seen[p.Name()] = true
-	}
-}

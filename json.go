@@ -8,6 +8,7 @@ import (
 
 	"adaptnoc/internal/fault"
 	"adaptnoc/internal/noc"
+	"adaptnoc/internal/rl"
 	"adaptnoc/internal/topology"
 )
 
@@ -192,14 +193,6 @@ func (c Config) Validate() error {
 		return fieldErrf("setupCycles", "negative setup time %d", c.SetupCycles).
 			hint("use 0 for the paper's 14-cycle setup")
 	}
-	if c.ShortcutLinksPerApp < 0 {
-		return fieldErrf("shortcutLinksPerApp", "negative link budget %d", c.ShortcutLinksPerApp).
-			hint("use 0 for the default of 2 links per app")
-	}
-	if c.PGWakeCycles < 0 || c.PGIdleCycles < 0 {
-		return fieldErrf("pgWakeCycles", "negative power-gating timing %d/%d", c.PGWakeCycles, c.PGIdleCycles).
-			hint("use 0 for the defaults (16-cycle wake, 10-cycle idle)")
-	}
 	if c.RL.EpsilonSet && (c.RL.Epsilon < 0 || c.RL.Epsilon > 1) {
 		return fieldErrf("rl.epsilon", "exploration rate %v outside [0,1]", c.RL.Epsilon).
 			hint("omit epsilon/epsilonSet for the paper's anneal schedule")
@@ -208,20 +201,11 @@ func (c Config) Validate() error {
 		return fieldErrf("rl.gamma", "discount factor %v outside [0,1]", c.RL.Gamma).
 			hint("omit gamma for the paper's default")
 	}
-	if d := c.RL.DQN; d.ReplaySize < 0 || d.Minibatch < 0 || d.TargetSync < 0 {
-		return fieldErrf("rl.dqn", "negative replay/minibatch/targetSync size").
-			hint("leave the dqn block zero for the paper's hyper-parameters")
-	}
-	// Upper bounds: a config travels as JSON (serving API, checkpoints), so
-	// a few bytes must not be able to demand gigabytes of agent state.
-	if d := c.RL.DQN; d.ReplaySize > 1<<20 || d.Minibatch > 1<<16 {
-		return fieldErrf("rl.dqn", "implausibly large replay/minibatch size").
-			hint("replaySize must fit in 2^20 and minibatch in 2^16")
-	}
-	for i, h := range c.RL.DQN.Hidden {
-		if h < 1 || h > 1<<12 {
-			return fieldErrf(fmt.Sprintf("rl.dqn.hidden[%d]", i), "layer size %d outside [1,4096]", h)
-		}
+	if n := c.RL.Pretrained; n != nil && (len(n.Sizes) < 2 ||
+		n.Sizes[0] != rl.StateSize || n.Sizes[len(n.Sizes)-1] != rl.NumActions) {
+		return fieldErrf("rl.pretrained", "network shape %v does not map %d state inputs to %d actions",
+			n.Sizes, rl.StateSize, rl.NumActions).
+			hint("use weights from adaptnoc-train, whose sizes run %d,...,%d", rl.StateSize, rl.NumActions)
 	}
 	if len(c.Faults) > fault.MaxEvents {
 		return fieldErrf("faults", "schedule has %d events, limit %d", len(c.Faults), fault.MaxEvents).

@@ -3,9 +3,13 @@ package adaptnoc
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
+
+	"adaptnoc/internal/rl"
+	"adaptnoc/internal/sim"
 )
 
 func sampleConfig() Config {
@@ -83,6 +87,8 @@ func TestConfigValidateFieldNames(t *testing.T) {
 		{"negative epoch", func(c *Config) { c.EpochCycles = -5 }, "epochCycles"},
 		{"epsilon range", func(c *Config) { c.RL.Epsilon, c.RL.EpsilonSet = 1.5, true }, "rl.epsilon"},
 		{"gamma range", func(c *Config) { c.RL.Gamma = -0.1 }, "rl.gamma"},
+		{"policy input size", func(c *Config) { c.RL.Pretrained = rl.NewNet([]int{2, 2}, sim.NewRNG(1)) }, "rl.pretrained"},
+		{"policy action count", func(c *Config) { c.RL.Pretrained = rl.NewNet([]int{12, 9}, sim.NewRNG(1)) }, "rl.pretrained"},
 	}
 	for _, tc := range cases {
 		cfg := sampleConfig()
@@ -97,6 +103,9 @@ func TestConfigValidateFieldNames(t *testing.T) {
 		}
 		if fe.Field != tc.field {
 			t.Fatalf("%s: error names field %q, want %q (%v)", tc.name, fe.Field, tc.field, err)
+		}
+		if fe.Hint == "" {
+			t.Fatalf("%s: no remediation hint (%v)", tc.name, err)
 		}
 	}
 	if err := sampleConfig().Validate(); err != nil {
@@ -120,6 +129,67 @@ func TestParseConfigStrict(t *testing.T) {
 	}
 	if cfg.Design != DesignAdaptNoRL || cfg.Seed != 7 || cfg.Apps[0].Static != Torus {
 		t.Fatalf("parsed config wrong: %+v", cfg)
+	}
+}
+
+// Config keys that once set model constants no experiment varies (memory
+// timing, the energy model, the DQN's fixed hyper-parameters, Shortcut's
+// link budget, FTBY-PG's gating timing) are unknown fields now. The first
+// two fragments are inputs that used to crash a run: a negative DRAM
+// latency schedules an event in the past, a zero clock makes the energy
+// NaN.
+func TestParseConfigRejectsRemovedKnobs(t *testing.T) {
+	for _, tc := range []struct{ key, fragment string }{
+		{"memory", `"memory":{"l2LatencyCycles":8,"mcLatencyCycles":-100,"mcServiceCycles":2}`},
+		{"power", `"power":{"clockGHz":0}`},
+		{"dqn", `"rl":{"dqn":{"replaySize":1000}}`},
+		{"shortcutLinksPerApp", `"shortcutLinksPerApp":2`},
+		{"pgWakeCycles", `"pgWakeCycles":16`},
+		{"pgIdleCycles", `"pgIdleCycles":10`},
+	} {
+		blob := `{"design":"adapt-noc","apps":[{"profile":"bfs","region":{"w":4,"h":4}}],` + tc.fragment + `}`
+		if _, err := ParseConfig([]byte(blob)); err == nil || !strings.Contains(err.Error(), `"`+tc.key+`"`) {
+			t.Errorf("%s: ParseConfig error %v, want one naming the key", tc.key, err)
+		}
+	}
+	// A policy whose shape the controller cannot drive used to pass and
+	// then panic in the first forward pass.
+	blob := `{"design":"adapt-noc","apps":[{"profile":"bfs","region":{"w":4,"h":4}}],` +
+		`"rl":{"pretrained":{"sizes":[2,2],"weights":[[0,0,0,0]],"biases":[[0,0]]}}}`
+	var fe *FieldError
+	if _, err := ParseConfig([]byte(blob)); !errors.As(err, &fe) || fe.Field != "rl.pretrained" {
+		t.Errorf("2x2 policy: ParseConfig error %v, want field rl.pretrained", err)
+	}
+}
+
+// TestConfigSettableValues pins the wire surface: every JSON leaf of
+// Config (apps and faults count as one each) is a value some experiment,
+// driver or test sets. A new knob needs a caller and a line here.
+func TestConfigSettableValues(t *testing.T) {
+	want := []string{
+		"design", "apps", "width", "height", "seed", "epochCycles",
+		"rl.pretrained", "rl.train", "rl.epsilon", "rl.epsilonSet", "rl.gamma",
+		"noInjectionBypass", "vcsPerVNet", "setupCycles", "useQTable", "faults",
+	}
+	var got []string
+	var walk func(prefix string, typ reflect.Type)
+	walk = func(prefix string, typ reflect.Type) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+			if name == "-" || !f.IsExported() {
+				continue
+			}
+			if f.Type.Kind() == reflect.Struct {
+				walk(prefix+name+".", f.Type)
+				continue
+			}
+			got = append(got, prefix+name)
+		}
+	}
+	walk("", reflect.TypeOf(Config{}))
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("settable config values:\n got %q\nwant %q", got, want)
 	}
 }
 
