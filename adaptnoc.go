@@ -138,6 +138,10 @@ type AppSpec struct {
 	// ShareMCs asks the fabric for access to that many foreign MCs
 	// (Adapt designs only).
 	ShareMCs int `json:"shareMCs,omitempty"`
+
+	// decoded is a decode of TraceData (see TraceWorkload), trusted only
+	// while TraceData still hashes to its digest. JSON drops it.
+	decoded *decodedTrace
 }
 
 // RLOptions configure the DesignAdaptNoC policy. The DQN's other
@@ -180,6 +184,10 @@ const (
 // validated on, and a config travels as JSON, so a few bytes must not be
 // able to demand an enormous simulation.
 const maxGridDim = 64
+
+// maxVCsPerVNet bounds Config.VCsPerVNet: a router tracks an input port's
+// VCs (NumVNets per VC count) in 64-bit masks.
+const maxVCsPerVNet = 64 / noc.NumVNets
 
 // Config assembles a simulation.
 type Config struct {
@@ -369,6 +377,9 @@ func NewSim(cfg Config) (*Sim, error) {
 	if cfg.NoInjectionBypass {
 		ncfg.InjectionBypass = false
 	}
+	if cfg.VCsPerVNet > maxVCsPerVNet {
+		return nil, fmt.Errorf("adaptnoc: %d VCs per virtual network, limit %d", cfg.VCsPerVNet, maxVCsPerVNet)
+	}
 	if cfg.VCsPerVNet > 0 {
 		ncfg.VCsPerVNet = cfg.VCsPerVNet
 	}
@@ -377,7 +388,7 @@ func NewSim(cfg Config) (*Sim, error) {
 	// config stored on the Sim — and in every checkpoint taken from it —
 	// is self-contained.
 	traces := make([]*traffic.TraceApp, len(cfg.Apps))
-	var decodes traceDecodes
+	decodes := newTraceDecodes(cfg.Apps)
 	for i := range cfg.Apps {
 		a := &cfg.Apps[i]
 		for _, mc := range a.MCTiles {

@@ -79,11 +79,13 @@ func bytesAllocated(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestTraceReplaySetupAllocs is the set-up contract of trace replay:
-// NewSim decodes each distinct recording once, however many specs replay
-// it and whether they share the blob or — as after a JSON round trip —
-// each hold an equal copy, so set-up costs about one DecodeTrace. The
-// decoded nodes hold no pointers, so the collector never scans them.
+// TestTraceReplaySetupAllocs is the set-up contract of trace replay: a
+// recording is decoded once per set-up. NewSim decodes each distinct
+// recording once, however many specs replay it and whether they share the
+// blob or — as after a JSON round trip — each hold an equal copy.
+// TraceWorkload's specs carry its decode into NewSim, and RestoreSim
+// shares one decode between Validate and NewSim. The decoded nodes hold no
+// pointers, so the collector never scans them.
 func TestTraceReplaySetupAllocs(t *testing.T) {
 	node := reflect.TypeOf(adaptnoc.TraceApp{}.Nodes).Elem()
 	for i := 0; i < node.NumField(); i++ {
@@ -95,38 +97,75 @@ func TestTraceReplaySetupAllocs(t *testing.T) {
 		}
 	}
 
-	const maxRatio = 1.5
 	blob := recordMixedTrace(t, 20_000)
-	shared, w, h, err := adaptnoc.TraceWorkload(blob)
+	carried, w, h, err := adaptnoc.TraceWorkload(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(shared) < 3 {
-		t.Fatalf("recording has %d apps, want the mixed workload's 3", len(shared))
+	if len(carried) < 3 {
+		t.Fatalf("recording has %d apps, want the mixed workload's 3", len(carried))
 	}
-	copies := append([]adaptnoc.AppSpec(nil), shared...)
-	for i := range copies {
-		copies[i].TraceData = bytes.Clone(blob)
+	// bare rebuilds the specs from their exported fields only, as a
+	// caller or a JSON decoder writes them: they carry no decode.
+	bare := func(data func() []byte) []adaptnoc.AppSpec {
+		var specs []adaptnoc.AppSpec
+		for _, a := range carried {
+			specs = append(specs, adaptnoc.AppSpec{
+				Region: a.Region, MCTiles: a.MCTiles, TraceData: data(), TraceApp: a.TraceApp,
+			})
+		}
+		return specs
 	}
+	config := func(apps []adaptnoc.AppSpec) adaptnoc.Config {
+		return adaptnoc.Config{Design: adaptnoc.DesignBaseline, Width: w, Height: h, Apps: apps, Seed: 1}
+	}
+	newSim := func(apps []adaptnoc.AppSpec) func() {
+		return func() {
+			if _, err := adaptnoc.NewSim(config(apps)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	s, err := adaptnoc.NewSim(config(carried))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Run(2000)
+	ckpt, err := s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	decode := bytesAllocated(func() {
 		if _, err := adaptnoc.DecodeTrace(blob); err != nil {
 			t.Fatal(err)
 		}
 	})
 	for _, c := range []struct {
-		name string
-		apps []adaptnoc.AppSpec
-	}{{"shared blob", shared}, {"equal copies", copies}} {
-		cfg := adaptnoc.Config{Design: adaptnoc.DesignBaseline, Width: w, Height: h, Apps: c.apps, Seed: 1}
-		setup := bytesAllocated(func() {
-			if _, err := adaptnoc.NewSim(cfg); err != nil {
+		name     string
+		setup    func()
+		maxRatio float64
+	}{
+		{"NewSim, shared blob", newSim(bare(func() []byte { return blob })), 1.5},
+		{"NewSim, equal copies", newSim(bare(func() []byte { return bytes.Clone(blob) })), 1.5},
+		{"TraceWorkload + NewSim", func() {
+			specs, _, _, err := adaptnoc.TraceWorkload(blob)
+			if err != nil {
 				t.Fatal(err)
 			}
-		})
+			newSim(specs)()
+		}, 1.4},
+		{"RestoreSim", func() {
+			if _, err := adaptnoc.RestoreSim(ckpt); err != nil {
+				t.Fatal(err)
+			}
+		}, 2.5},
+	} {
+		setup := bytesAllocated(c.setup)
 		ratio := float64(setup) / float64(decode)
-		t.Logf("%s: NewSim allocates %d B, %.2fx one %d B decode", c.name, setup, ratio, decode)
-		if ratio > maxRatio {
-			t.Errorf("%s: NewSim allocates %.2fx one DecodeTrace, want <= %.1fx", c.name, ratio, maxRatio)
+		t.Logf("%s: allocates %d B, %.2fx one %d B decode", c.name, setup, ratio, decode)
+		if ratio > c.maxRatio {
+			t.Errorf("%s: allocates %.2fx one DecodeTrace, want <= %.1fx", c.name, ratio, c.maxRatio)
 		}
 	}
 }

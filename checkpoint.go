@@ -151,7 +151,10 @@ func RestoreSim(blob []byte) (*Sim, error) {
 		return nil, fmt.Errorf("adaptnoc: checkpoint config: %w", err)
 	}
 	// Validate bounds the config (grid fit, agent sizes) before NewSim
-	// commits any memory to it — a corrupted blob must fail cleanly.
+	// commits any memory to it — a corrupted blob must fail cleanly. cfg
+	// is this function's own, so it carries one decode of each recording
+	// for Validate and NewSim to share.
+	carryTraceDecodes(cfg.Apps)
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("adaptnoc: checkpoint config: %w", err)
 	}

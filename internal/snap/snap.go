@@ -413,22 +413,36 @@ func OpenAs(magic string, version uint32, blob []byte) ([]byte, error) {
 	if v != version {
 		return nil, r.corrupt(fmt.Sprintf("format version %d, want %d", v, version))
 	}
-	zr, err := gzip.NewReader(bytes.NewReader(r.Rest()))
+	z := r.Rest()
+	zr, err := gzip.NewReader(bytes.NewReader(z))
 	if err != nil {
 		return nil, &ErrCorrupt{Off: r.off, Msg: fmt.Sprintf("bad gzip body: %v", err)}
 	}
-	body, err := io.ReadAll(io.LimitReader(zr, maxBodyBytes+1))
+	// The gzip trailer's ISIZE states the body length (mod 2^32), so the
+	// body can be read into one allocation instead of regrowing from 512
+	// bytes. The trailer is unchecked until the read ends, so the presize
+	// is capped at what z could really inflate to. The spare MinRead bytes
+	// let the read that reports EOF finish without growing the buffer.
+	size := uint64(binary.LittleEndian.Uint32(z[len(z)-4:]))
+	size = min(size, maxBodyBytes, maxDeflateRatio*uint64(len(z)))
+	var body bytes.Buffer
+	body.Grow(int(size) + bytes.MinRead)
+	_, err = body.ReadFrom(io.LimitReader(zr, maxBodyBytes+1))
 	if cerr := zr.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
 		return nil, &ErrCorrupt{Off: r.off, Msg: fmt.Sprintf("bad gzip body: %v", err)}
 	}
-	if len(body) > maxBodyBytes {
+	if body.Len() > maxBodyBytes {
 		return nil, &ErrCorrupt{Off: r.off, Msg: fmt.Sprintf("body exceeds %d bytes", maxBodyBytes)}
 	}
-	return body, nil
+	return body.Bytes(), nil
 }
+
+// maxDeflateRatio bounds how many bytes one compressed byte can inflate
+// to (a deflate length-258 copy costs at least 2 bits, ~1032:1).
+const maxDeflateRatio = 1032
 
 // OpenBody is OpenAs for a checkpoint blob.
 func OpenBody(blob []byte) ([]byte, error) { return OpenAs(Magic, Version, blob) }

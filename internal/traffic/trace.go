@@ -13,6 +13,7 @@ package traffic
 // before allocation (the trace decoder has its own fuzz target).
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -315,50 +316,59 @@ func decodeTraceApp(r *snap.Reader, a *TraceApp) error {
 		return corruptf("%d nodes, limit %d", nNodes, maxTraceNodes)
 	}
 	a.Nodes = make([]TraceNode, nNodes)
+	return decodeTraceNodes(r.Rest(), a)
+}
+
+// decodeTraceNodes parses a's node records, which run to the end of buf.
+// It is the decoder's hot loop, so it walks buf with a local offset and
+// reads most fields, which are small, through a one-byte varint fast
+// path; a bad varint is reported once per node, not per field.
+func decodeTraceNodes(buf []byte, a *TraceApp) error {
+	off := 0
+	var bad bool
+	// next reads one uvarint, flagging a truncated or overlong one (bad
+	// stays set, so the values after it are never used).
+	next := func() uint64 {
+		if off < len(buf) && buf[off] < 0x80 {
+			off++
+			return uint64(buf[off-1])
+		}
+		v, n := binary.Uvarint(buf[off:])
+		if n <= 0 {
+			bad = true
+			return 0
+		}
+		off += n
+		return v
+	}
 	for ni := range a.Nodes {
 		n := &a.Nodes[ni]
-		flags, err := r.Uvarint()
-		if err != nil {
-			return err
-		}
-		if flags&^uint64(7) != 0 {
+		flags := next()
+		src, dst := unzigzag(next()), unzigzag(next())
+		gap := next()
+		nDeps := next()
+		switch {
+		case bad:
+			return corruptf("node %d: bad varint", ni)
+		case flags&^uint64(7) != 0:
 			return corruptf("node %d: unknown flags %#x", ni, flags)
+		case int64(int32(src)) != src || int64(int32(dst)) != dst:
+			return corruptf("node %d: endpoint %d -> %d overflows", ni, src, dst)
+		case gap > 1<<32-1:
+			return corruptf("node %d: gap %d overflows", ni, gap)
+		case nDeps > maxNodeDeps:
+			return corruptf("node %d: %d deps, limit %d", ni, nDeps, maxNodeDeps)
 		}
 		n.Data = flags&1 != 0
 		n.SrcAbs = flags&2 != 0
 		n.DstAbs = flags&4 != 0
-		src, err := r.Varint()
-		if err != nil {
-			return err
-		}
-		dst, err := r.Varint()
-		if err != nil {
-			return err
-		}
-		if int64(int32(src)) != src || int64(int32(dst)) != dst {
-			return corruptf("node %d: endpoint %d -> %d overflows", ni, src, dst)
-		}
 		n.Src, n.Dst = int32(src), int32(dst)
-		gap, err := r.Uvarint()
-		if err != nil {
-			return err
-		}
-		if gap > 1<<32-1 {
-			return corruptf("node %d: gap %d overflows", ni, gap)
-		}
 		n.Gap = uint32(gap)
-		nDeps, err := r.Count(1)
-		if err != nil {
-			return err
-		}
-		if nDeps > maxNodeDeps {
-			return corruptf("node %d: %d deps, limit %d", ni, nDeps, maxNodeDeps)
-		}
 		n.NDeps = uint8(nDeps)
 		for range nDeps {
-			back, err := r.Uvarint()
-			if err != nil {
-				return err
+			back := next()
+			if bad {
+				return corruptf("node %d: bad varint", ni)
 			}
 			if back == 0 || back > uint64(ni) {
 				return corruptf("node %d: dep distance %d out of range", ni, back)
@@ -367,13 +377,28 @@ func decodeTraceApp(r *snap.Reader, a *TraceApp) error {
 			// same value a literal without Deps holds.
 			a.Deps = append(a.Deps, int32(ni)-int32(back))
 		}
-		for _, dst := range []*int64{&n.DRetired, &n.DL1D, &n.DL1I, &n.DL2} {
-			if *dst, err = r.Varint(); err != nil {
-				return err
-			}
+		n.DRetired = unzigzag(next())
+		n.DL1D = unzigzag(next())
+		n.DL1I = unzigzag(next())
+		n.DL2 = unzigzag(next())
+		if bad {
+			return corruptf("node %d: bad varint", ni)
 		}
 	}
+	if off != len(buf) {
+		return corruptf("%d trailing bytes after the last node", len(buf)-off)
+	}
 	return nil
+}
+
+// unzigzag maps a zigzag-encoded uvarint back to the int64 that
+// binary.PutVarint wrote.
+func unzigzag(ux uint64) int64 {
+	x := int64(ux >> 1)
+	if ux&1 != 0 {
+		x = ^x
+	}
+	return x
 }
 
 // injEntry is one released-but-not-yet-injected node.

@@ -93,7 +93,7 @@ func (c Config) Validate() error {
 			hint("use 0 for the default 8x8 chip or dimensions in [2,%d]", maxGridDim)
 	}
 	ncfg := netConfig(c.Design, c.Width, c.Height)
-	var decodes traceDecodes
+	decodes := newTraceDecodes(c.Apps)
 	for i, a := range c.Apps {
 		f := func(sub string) string { return fmt.Sprintf("apps[%d].%s", i, sub) }
 		hasTrace := a.Trace != "" || len(a.TraceData) > 0
@@ -142,11 +142,12 @@ func (c Config) Validate() error {
 			// client can read the file); inline data validates here so a
 			// daemon can refuse a bad blob before committing a worker.
 			if len(a.TraceData) > 0 {
-				tr, err := decodes.decode(a.TraceData)
+				d, err := decodes.decode(a.TraceData)
 				if err != nil {
 					return fieldErrf(f("traceData"), "%v", err).
 						hint("re-record with adaptnoc-sim -record-trace; blobs are not hand-editable")
 				}
+				tr := d.trace
 				if a.TraceApp >= len(tr.Apps) {
 					return fieldErrf(f("traceApp"), "trace has %d recorded apps, index %d", len(tr.Apps), a.TraceApp).
 						hint("recorded apps are indexed 0..n-1 in recording order")
@@ -188,6 +189,10 @@ func (c Config) Validate() error {
 	if c.VCsPerVNet < 0 {
 		return fieldErrf("vcsPerVNet", "negative VC count %d", c.VCsPerVNet).
 			hint("use 0 for the design's default VC count")
+	}
+	if c.VCsPerVNet > maxVCsPerVNet {
+		return fieldErrf("vcsPerVNet", "%d VCs per virtual network, limit %d", c.VCsPerVNet, maxVCsPerVNet).
+			hint("use 0 for the design's default VC count; a router holds at most %d VCs per input port", noc.NumVNets*maxVCsPerVNet)
 	}
 	if c.SetupCycles < 0 {
 		return fieldErrf("setupCycles", "negative setup time %d", c.SetupCycles).

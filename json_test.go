@@ -85,6 +85,7 @@ func TestConfigValidateFieldNames(t *testing.T) {
 		}, "apps[2].region"},
 		{"negative budget", func(c *Config) { c.Apps[0].InstrBudget = -1 }, "apps[0].instrBudget"},
 		{"negative epoch", func(c *Config) { c.EpochCycles = -5 }, "epochCycles"},
+		{"VC count above the router's masks", func(c *Config) { c.VCsPerVNet = maxVCsPerVNet + 1 }, "vcsPerVNet"},
 		{"epsilon range", func(c *Config) { c.RL.Epsilon, c.RL.EpsilonSet = 1.5, true }, "rl.epsilon"},
 		{"gamma range", func(c *Config) { c.RL.Gamma = -0.1 }, "rl.gamma"},
 		{"policy input size", func(c *Config) { c.RL.Pretrained = rl.NewNet([]int{2, 2}, sim.NewRNG(1)) }, "rl.pretrained"},

@@ -10,9 +10,10 @@ package adaptnoc
 // any other workload.
 
 import (
-	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"os"
+	"slices"
 
 	"adaptnoc/internal/noc"
 	"adaptnoc/internal/traffic"
@@ -45,36 +46,100 @@ func CheckProfile(name string) error {
 	return nil
 }
 
-// traceDecodes decodes each distinct trace blob of one configuration
-// once. A replay workload gives every spec the same recording, and after
-// a JSON round trip (checkpoint restore, serving request) each spec holds
-// its own copy of it, so blobs match by content, not by pointer. The
-// decoded traces are read-only and shared by every source replaying them.
-type traceDecodes []decodedTrace
-
+// decodedTrace is a recording decoded from the blob whose SHA-256 is sum.
+// The trace is read-only and shared by every source replaying it.
 type decodedTrace struct {
-	blob  []byte
+	sum   [sha256.Size]byte
 	trace *traffic.Trace
 }
 
-func (d *traceDecodes) decode(blob []byte) (*traffic.Trace, error) {
-	for _, e := range *d {
-		if bytes.Equal(e.blob, blob) {
-			return e.trace, nil
+// traceDecodes decodes each distinct trace blob of one configuration
+// once. A replay workload gives every spec the same recording, and after
+// a JSON round trip (checkpoint restore, serving request) each spec holds
+// its own copy of it, so blobs match by content digest, not by pointer.
+// A spec may carry the decode TraceWorkload or RestoreSim made of it; that
+// decode is reused only for blobs that still hash to its digest, so a
+// caller who edits or replaces TraceData afterwards gets a fresh decode.
+type traceDecodes struct {
+	known  []*decodedTrace
+	hashed []hashedBlob // one digest per distinct backing slice
+}
+
+type hashedBlob struct {
+	data []byte
+	sum  [sha256.Size]byte
+}
+
+// newTraceDecodes seeds the decodes with those the specs carry.
+func newTraceDecodes(apps []AppSpec) traceDecodes {
+	var d traceDecodes
+	for _, a := range apps {
+		if a.decoded != nil && !slices.Contains(d.known, a.decoded) {
+			d.known = append(d.known, a.decoded)
+		}
+	}
+	return d
+}
+
+// digest hashes blob once per backing slice: specs sharing one blob (as
+// TraceWorkload's do) cost one SHA-256 between them.
+func (d *traceDecodes) digest(blob []byte) [sha256.Size]byte {
+	for _, h := range d.hashed {
+		if len(h.data) == len(blob) && &h.data[0] == &blob[0] {
+			return h.sum
+		}
+	}
+	sum := sha256.Sum256(blob)
+	d.hashed = append(d.hashed, hashedBlob{blob, sum})
+	return sum
+}
+
+// decode returns the recording a non-empty blob holds.
+func (d *traceDecodes) decode(blob []byte) (*decodedTrace, error) {
+	sum := d.digest(blob)
+	for _, e := range d.known {
+		if e.sum == sum {
+			return e, nil
 		}
 	}
 	tr, err := traffic.DecodeTrace(blob)
 	if err != nil {
 		return nil, err
 	}
-	*d = append(*d, decodedTrace{blob, tr})
-	return tr, nil
+	e := &decodedTrace{sum, tr}
+	d.known = append(d.known, e)
+	return e, nil
+}
+
+// carryTraceDecodes attaches to every replay spec the decode of its blob,
+// so that Validate and NewSim on apps reuse one decode per distinct
+// recording, and points equal blobs at one copy, so that each hashes the
+// recording once. A blob that fails to decode is left bare for Validate
+// to report.
+func carryTraceDecodes(apps []AppSpec) {
+	d := newTraceDecodes(apps)
+	first := make(map[*decodedTrace][]byte)
+	for i := range apps {
+		a := &apps[i]
+		if len(a.TraceData) == 0 {
+			continue
+		}
+		if a.decoded, _ = d.decode(a.TraceData); a.decoded == nil {
+			continue
+		}
+		if blob, ok := first[a.decoded]; ok {
+			a.TraceData = blob
+		} else {
+			first[a.decoded] = a.TraceData
+		}
+	}
 }
 
 // resolveTraceSpec validates one replay spec and returns the recorded
-// stream it names, inlining a path-named file into spec.TraceData as a
-// side effect (the spec is part of the config NewSim stores, which makes
-// checkpoints taken from the sim self-contained).
+// stream it names. As side effects it inlines a path-named file into
+// spec.TraceData and attaches the decode to the spec (the spec is part of
+// the config NewSim stores, which makes checkpoints taken from the sim
+// self-contained).
 func resolveTraceSpec(spec *AppSpec, gridW, gridH int, decodes *traceDecodes) (*traffic.TraceApp, error) {
 	if spec.Profile != "" {
 		return nil, fmt.Errorf("both profile %q and a trace set; a spec is one or the other", spec.Profile)
@@ -90,10 +155,12 @@ func resolveTraceSpec(spec *AppSpec, gridW, gridH int, decodes *traceDecodes) (*
 		spec.TraceData = data
 	}
 	spec.Trace = ""
-	tr, err := decodes.decode(spec.TraceData)
+	d, err := decodes.decode(spec.TraceData)
 	if err != nil {
 		return nil, err
 	}
+	spec.decoded = d
+	tr := d.trace
 	if spec.TraceApp < 0 || spec.TraceApp >= len(tr.Apps) {
 		return nil, fmt.Errorf("trace has %d recorded apps, index %d", len(tr.Apps), spec.TraceApp)
 	}
@@ -111,12 +178,16 @@ func resolveTraceSpec(spec *AppSpec, gridW, gridH int, decodes *traceDecodes) (*
 // TraceWorkload derives replay AppSpecs from a trace's own recorded
 // placements: every recorded application replays in its original position
 // with its original memory controllers. It returns the specs plus the
-// recorded grid dimensions (the chip the placements assume).
+// recorded grid dimensions (the chip the placements assume). Every spec
+// carries the one decode of data, which NewSim and Validate reuse for as
+// long as the spec's TraceData still holds the same bytes.
 func TraceWorkload(data []byte) ([]AppSpec, int, int, error) {
+	sum := sha256.Sum256(data)
 	tr, err := traffic.DecodeTrace(data)
 	if err != nil {
 		return nil, 0, 0, err
 	}
+	decoded := &decodedTrace{sum, tr}
 	specs := make([]AppSpec, 0, len(tr.Apps))
 	for i := range tr.Apps {
 		a := &tr.Apps[i]
@@ -130,6 +201,7 @@ func TraceWorkload(data []byte) ([]AppSpec, int, int, error) {
 			MCTiles:   mcs,
 			TraceData: data,
 			TraceApp:  i,
+			decoded:   decoded,
 		})
 	}
 	return specs, tr.GridW, tr.GridH, nil

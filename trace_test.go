@@ -8,10 +8,12 @@ package adaptnoc_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"adaptnoc"
@@ -241,6 +243,131 @@ func TestNewSimRejectsBadTraceSpecs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCarriedDecodeNeverStale proves the decode TraceWorkload attaches to
+// its specs is only reused for the bytes it was decoded from: a blob
+// edited in place, or replaced outright, after TraceWorkload is decoded
+// afresh by Validate and NewSim.
+func TestCarriedDecodeNeverStale(t *testing.T) {
+	config := func(apps []adaptnoc.AppSpec) adaptnoc.Config {
+		return adaptnoc.Config{Design: adaptnoc.DesignBaseline, Apps: apps, Seed: 2021, EpochCycles: 4000}
+	}
+	// viaJSON round-trips a config, which drops every carried decode.
+	viaJSON := func(cfg adaptnoc.Config) adaptnoc.Config {
+		t.Helper()
+		data, err := json.Marshal(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := adaptnoc.ParseConfig(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return back
+	}
+	replay := func(cfg adaptnoc.Config) []byte {
+		t.Helper()
+		s, err := adaptnoc.NewSim(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !s.RunUntilFinished(traceTestMaxCycles) {
+			t.Fatal("replay did not drain")
+		}
+		return resultsJSON(t, s.Results())
+	}
+
+	t.Run("byte flipped in place", func(t *testing.T) {
+		blob := recordMixedTrace(t, 2000)
+		specs, _, _, err := adaptnoc.TraceWorkload(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob[len(blob)/2] ^= 0xff
+		_, want := adaptnoc.DecodeTrace(blob)
+		if want == nil {
+			t.Fatal("the flipped blob still decodes; flip another byte")
+		}
+		if err := config(specs).Validate(); err == nil || !strings.Contains(err.Error(), want.Error()) {
+			t.Fatalf("Validate returned %v, want DecodeTrace's %q", err, want)
+		}
+		if _, err := adaptnoc.NewSim(config(specs)); err == nil || !strings.Contains(err.Error(), want.Error()) {
+			t.Fatalf("NewSim returned %v, want DecodeTrace's %q", err, want)
+		}
+	})
+
+	t.Run("blob replaced", func(t *testing.T) {
+		specs, _, _, err := adaptnoc.TraceWorkload(recordMixedTrace(t, 2000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		orig := replay(config(specs))
+		// A longer recording of the same workload: same placements,
+		// different stream.
+		swapped := append([]adaptnoc.AppSpec(nil), specs...)
+		swapped[1].TraceData = recordMixedTrace(t, 3000)
+		got := replay(config(swapped))
+		if want := replay(viaJSON(config(swapped))); !bytes.Equal(got, want) {
+			t.Fatalf("replay after the swap:\n%s\nfresh decode of the same bytes:\n%s", got, want)
+		}
+		if bytes.Equal(got, orig) {
+			t.Fatal("swapping app 1's recording did not change the replay")
+		}
+	})
+
+	t.Run("carried equals fresh", func(t *testing.T) {
+		specs, _, _, err := adaptnoc.TraceWorkload(recordMixedTrace(t, 5000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(cfg adaptnoc.Config) (results, ckpt []byte) {
+			s, err := adaptnoc.NewSim(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Run(3000)
+			if ckpt, err = s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			return resultsJSON(t, s.Results()), ckpt
+		}
+		res, ckpt := run(config(specs))
+		res2, ckpt2 := run(viaJSON(config(specs)))
+		if !bytes.Equal(res, res2) {
+			t.Fatalf("results with the carried decode:\n%s\nafter a JSON round trip:\n%s", res, res2)
+		}
+		if !bytes.Equal(ckpt, ckpt2) {
+			t.Fatal("checkpoints with the carried decode and after a JSON round trip differ")
+		}
+	})
+
+	// Sims built from one TraceWorkload share its read-only trace; running
+	// them at once is what `go test -race` checks here.
+	t.Run("shared by concurrent sims", func(t *testing.T) {
+		specs, _, _, err := adaptnoc.TraceWorkload(recordMixedTrace(t, 3000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sims := make([]*adaptnoc.Sim, 2)
+		for i := range sims {
+			if sims[i], err = adaptnoc.NewSim(config(specs)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var wg sync.WaitGroup
+		for _, s := range sims {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				s.RunUntilFinished(traceTestMaxCycles)
+			}()
+		}
+		wg.Wait()
+		if a, b := resultsJSON(t, sims[0].Results()), resultsJSON(t, sims[1].Results()); !bytes.Equal(a, b) {
+			t.Fatalf("two concurrent replays of one decode differ:\n%s\nvs\n%s", a, b)
+		}
+	})
 }
 
 // TestTraceSpecDoesNotShiftNeighbourStreams proves swapping one app's
