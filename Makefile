@@ -36,15 +36,18 @@ cover:
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit (t+0 >= f+0) ? 0 : 1 }' || \
 		{ echo "coverage below $(COVER_FLOOR)% floor"; exit 1; }
 
-# fuzzseeds replays the committed corpora only (fast subset of check).
+# fuzzseeds replays the committed corpora only (fast subset of check),
+# FuzzScenario's seeds among them: the determinism identities (shard
+# count, checkpoint, restore, delta chain) on every seed's drawn design,
+# workload, fault campaign and run plan.
 fuzzseeds:
 	go test -run 'Fuzz' ./...
 
 # race runs the complete test suite under the race detector. That covers
-# the sharded-tick and fault-campaign determinism suites (the byte-identity
-# proofs for the worker gang and the fault engine's quiescent apply
-# points), the runner's parallelism guard, and the serve and fleet
-# daemons' loopback HTTP tests including the fleet's multi-node
+# FuzzScenario's seeds and the sharded-tick and fault-campaign suites
+# (the byte-identity proofs for the worker gang and the fault engine's
+# quiescent apply points), the runner's parallelism guard, and the serve
+# and fleet daemons' loopback HTTP tests including the fleet's multi-node
 # kill/handoff e2e. It must stay clean at any -parallel or -shards setting.
 race:
 	go test -race -timeout 30m ./...

@@ -185,9 +185,8 @@ const (
 // able to demand an enormous simulation.
 const maxGridDim = 64
 
-// maxVCsPerVNet bounds Config.VCsPerVNet: a router tracks an input port's
-// VCs (NumVNets per VC count) in 64-bit masks.
-const maxVCsPerVNet = 64 / noc.NumVNets
+// maxVCsPerVNet bounds Config.VCsPerVNet at what internal/noc accepts.
+const maxVCsPerVNet = noc.MaxPortVCs / noc.NumVNets
 
 // Config assembles a simulation.
 type Config struct {
@@ -377,11 +376,11 @@ func NewSim(cfg Config) (*Sim, error) {
 	if cfg.NoInjectionBypass {
 		ncfg.InjectionBypass = false
 	}
-	if cfg.VCsPerVNet > maxVCsPerVNet {
-		return nil, fmt.Errorf("adaptnoc: %d VCs per virtual network, limit %d", cfg.VCsPerVNet, maxVCsPerVNet)
-	}
 	if cfg.VCsPerVNet > 0 {
 		ncfg.VCsPerVNet = cfg.VCsPerVNet
+	}
+	if err := ncfg.Validate(); err != nil {
+		return nil, fmt.Errorf("adaptnoc: %w", err)
 	}
 	// traces[i] is the recorded stream spec i replays (nil for synthetic
 	// apps). Resolving also inlines path-named files into cfg.Apps so the
@@ -417,7 +416,6 @@ func NewSim(cfg Config) (*Sim, error) {
 	s.Kernel = sim.NewKernel()
 	s.Net = noc.NewNetwork(ncfg)
 	s.Kernel.Register(s.Net)
-	s.Meter = power.NewMeter(s.Net, power.DefaultParams())
 	s.Machine = system.NewMachine(s.Net, s.Kernel, system.DefaultParams())
 
 	rng := sim.NewRNG(cfg.Seed ^ 0xadaf7)
@@ -507,6 +505,7 @@ func NewSim(cfg Config) (*Sim, error) {
 		s.apps[i].SetForeignMCs(foreign, foreignFrac)
 	}
 	s.subnocs = subnocs
+	s.Meter = power.NewMeter(s.Net, power.DefaultParams())
 
 	// Control plane.
 	switch cfg.Design {

@@ -26,6 +26,7 @@ func runDesign(t *testing.T, d Design, cycles Cycle) Results {
 }
 
 func TestAllDesignsRunTheMixedWorkload(t *testing.T) {
+	t.Parallel()
 	for d := DesignBaseline; d < NumDesigns; d++ {
 		res := runDesign(t, d, 60000)
 		for _, a := range res.Apps {
@@ -46,6 +47,7 @@ func TestAllDesignsRunTheMixedWorkload(t *testing.T) {
 }
 
 func TestAdaptDesignsReduceHopsVsBaseline(t *testing.T) {
+	t.Parallel()
 	base := runDesign(t, DesignBaseline, 100000)
 	norl := runDesign(t, DesignAdaptNoRL, 100000)
 	if norl.MeanHops() >= base.MeanHops() {
@@ -55,6 +57,7 @@ func TestAdaptDesignsReduceHopsVsBaseline(t *testing.T) {
 }
 
 func TestFTBYHasLowestHopCount(t *testing.T) {
+	t.Parallel()
 	base := runDesign(t, DesignBaseline, 80000)
 	ftby := runDesign(t, DesignFTBY, 80000)
 	if ftby.MeanHops() >= base.MeanHops() {
@@ -63,6 +66,7 @@ func TestFTBYHasLowestHopCount(t *testing.T) {
 }
 
 func TestExecutionTimeCompletes(t *testing.T) {
+	t.Parallel()
 	s, err := NewSim(Config{
 		Design: DesignBaseline,
 		Apps:   DefaultMixed(2000),
@@ -81,6 +85,7 @@ func TestExecutionTimeCompletes(t *testing.T) {
 }
 
 func TestAdaptNoCSelectsAndReconfigures(t *testing.T) {
+	t.Parallel()
 	s, err := NewSim(Config{
 		Design:      DesignAdaptNoC,
 		Apps:        DefaultMixed(0),
@@ -116,6 +121,7 @@ func TestAdaptNoCSelectsAndReconfigures(t *testing.T) {
 }
 
 func TestDeterminismAcrossRuns(t *testing.T) {
+	t.Parallel()
 	r1 := runDesign(t, DesignAdaptNoRL, 50000)
 	r2 := runDesign(t, DesignAdaptNoRL, 50000)
 	if r1.MeanLatency() != r2.MeanLatency() || r1.TotalEnergy.TotalPJ() != r2.TotalEnergy.TotalPJ() {
@@ -124,6 +130,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 }
 
 func TestNewSimRejectsBadConfigs(t *testing.T) {
+	t.Parallel()
 	if _, err := NewSim(Config{Design: DesignBaseline}); err == nil {
 		t.Fatal("accepted empty app list")
 	}
@@ -141,6 +148,7 @@ func TestNewSimRejectsBadConfigs(t *testing.T) {
 }
 
 func TestShareMCsReachForeignControllers(t *testing.T) {
+	t.Parallel()
 	apps := DefaultMixed(0)
 	apps[0].ShareMCs = 1
 	s, err := NewSim(Config{
@@ -174,6 +182,7 @@ func TestShareMCsReachForeignControllers(t *testing.T) {
 }
 
 func TestPublicReconfigureAPI(t *testing.T) {
+	t.Parallel()
 	reg := Region{W: 4, H: 4}
 	s, err := NewSim(Config{
 		Design: DesignAdaptNoRL,
@@ -218,6 +227,7 @@ func TestPublicReconfigureAPI(t *testing.T) {
 }
 
 func TestTorusTreeStaticViaPublicAPI(t *testing.T) {
+	t.Parallel()
 	reg := Region{W: 4, H: 8}
 	s, err := NewSim(Config{
 		Design: DesignAdaptNoRL,
@@ -245,6 +255,7 @@ func TestTorusTreeStaticViaPublicAPI(t *testing.T) {
 // latency is dominated by the one-flit-per-cycle MC injection ports, and
 // the tree's root/MC fanout removes it.
 func TestTreeRelievesMCInjectionBottleneck(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("short mode")
 	}

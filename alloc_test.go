@@ -21,6 +21,7 @@ import (
 // MemStats.Mallocs is process-wide, so the test must not run in parallel
 // with other tests.
 func TestSteadyStateSimAllocs(t *testing.T) {
+	// Not parallel: MemStats.Mallocs counts every goroutine's mallocs.
 	const warm, window = 30_000, 20_000
 	const maxPerKcycle = 10
 	replay := func() adaptnoc.Config {
@@ -87,6 +88,7 @@ func bytesAllocated(f func()) uint64 {
 // shares one decode between Validate and NewSim. The decoded nodes hold no
 // pointers, so the collector never scans them.
 func TestTraceReplaySetupAllocs(t *testing.T) {
+	// Not parallel: MemStats.TotalAlloc counts every goroutine's allocations.
 	node := reflect.TypeOf(adaptnoc.TraceApp{}.Nodes).Elem()
 	for i := 0; i < node.NumField(); i++ {
 		switch f := node.Field(i); f.Type.Kind() {

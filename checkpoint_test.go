@@ -105,6 +105,7 @@ func resumeByteIdentical(t *testing.T, cfg adaptnoc.Config, mid, total adaptnoc.
 }
 
 func TestCheckpointResumeByteIdenticalAllDesigns(t *testing.T) {
+	t.Parallel()
 	for d := adaptnoc.DesignBaseline; d < adaptnoc.NumDesigns; d++ {
 		t.Run(d.String(), func(t *testing.T) {
 			// 13000 is mid-epoch (epochs land at 10000, 20000, ...).
@@ -114,6 +115,7 @@ func TestCheckpointResumeByteIdenticalAllDesigns(t *testing.T) {
 }
 
 func TestCheckpointMidEpochRLTraining(t *testing.T) {
+	t.Parallel()
 	cfg := chkConfig(adaptnoc.DesignAdaptNoC)
 	cfg.EpochCycles = 5000
 	cfg.RL.Train = true
@@ -135,6 +137,7 @@ func TestCheckpointMidEpochRLTraining(t *testing.T) {
 // lockstep, and a chained delta frame applied to the base reproduces the
 // full blob.
 func TestRestoreAfterEveryTopologyPair(t *testing.T) {
+	t.Parallel()
 	kinds := []adaptnoc.Kind{adaptnoc.Mesh, adaptnoc.CMesh, adaptnoc.Torus, adaptnoc.Tree, adaptnoc.TorusTree}
 	for _, d := range []adaptnoc.Design{adaptnoc.DesignAdaptNoRL, adaptnoc.DesignAdaptNoC} {
 		for _, from := range kinds {
@@ -193,6 +196,7 @@ func TestRestoreAfterEveryTopologyPair(t *testing.T) {
 // requires the restored twin to finish the switch and stay in lockstep.
 // The switch runs as descriptor events, the same as the controller's.
 func TestCheckpointMidManualSwitch(t *testing.T) {
+	t.Parallel()
 	cfg := adaptnoc.Config{
 		Design:      adaptnoc.DesignAdaptNoRL,
 		Apps:        []adaptnoc.AppSpec{{Profile: "canneal", Region: adaptnoc.Region{W: 4, H: 4}}},
@@ -241,6 +245,7 @@ func TestCheckpointMidManualSwitch(t *testing.T) {
 }
 
 func TestCheckpointFileRoundTrip(t *testing.T) {
+	t.Parallel()
 	cfg := chkConfig(adaptnoc.DesignAdaptNoC)
 	ref, err := adaptnoc.NewSim(cfg)
 	if err != nil {
@@ -272,6 +277,7 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 }
 
 func TestCheckpointRejectsSharedAgent(t *testing.T) {
+	t.Parallel()
 	cfg := chkConfig(adaptnoc.DesignAdaptNoC)
 	cfg.RL.SharedAgent = rl.NewDQN(rl.DefaultDQNConfig(), sim.NewRNG(1))
 	cfg.RL.Train = true
@@ -286,6 +292,7 @@ func TestCheckpointRejectsSharedAgent(t *testing.T) {
 }
 
 func TestRestoreRejectsTruncation(t *testing.T) {
+	t.Parallel()
 	s, err := adaptnoc.NewSim(chkConfig(adaptnoc.DesignBaseline))
 	if err != nil {
 		t.Fatal(err)
@@ -340,7 +347,7 @@ var pinnedBodies = map[string][2]string{
 		"da4f36416218195c8979e6fa1ba91ed68bf18ab58defceafcbceee8b17aa0cae",
 	},
 	"faulted": {
-		"e4d95765dcf7d909751d0459ef72eada3a42b8a299b4d982a2064f95cfc2b4f1",
+		"885e1dc7eb012aaed8deda8a9a7697655856fd5dd46996342fea031decda73a4",
 		"24bef0a2fdeddd8786ecc893fd8047dec21d552041c54e0013f8fe530a35a703",
 	},
 	"trace-replay": {
@@ -369,6 +376,7 @@ func stateHash(t *testing.T, blob []byte) string {
 }
 
 func TestCheckpointBodyPinned(t *testing.T) {
+	t.Parallel()
 	type pinCase struct {
 		name string
 		sim  func() *adaptnoc.Sim
@@ -442,6 +450,7 @@ func TestCheckpointBodyPinned(t *testing.T) {
 // digests. A renamed section and a stray byte after the last one must be
 // reported with the section they happened in.
 func TestRestoreSurvivesBodyMutations(t *testing.T) {
+	t.Parallel()
 	const pairs = 40
 	for _, d := range []adaptnoc.Design{adaptnoc.DesignBaseline, adaptnoc.DesignAdaptNoC, adaptnoc.DesignOSCAR} {
 		t.Run(d.String(), func(t *testing.T) {
@@ -519,6 +528,7 @@ func TestRestoreSurvivesBodyMutations(t *testing.T) {
 // ID the machine section never restored must fail the restore with an
 // error naming the section.
 func TestRestoreRejectsHostilePayloadKinds(t *testing.T) {
+	t.Parallel()
 	s, err := adaptnoc.NewSim(chkConfig(adaptnoc.DesignBaseline))
 	if err != nil {
 		t.Fatal(err)

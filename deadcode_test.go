@@ -30,6 +30,7 @@ var deadcodeAllowed = map[string]string{
 // call to itself, a type's reference to itself and a method's receiver do
 // not count as uses. Code that only tests need belongs in a _test.go file.
 func TestNoDeadInternalCode(t *testing.T) {
+	t.Parallel()
 	type decl struct {
 		name string
 		pos  token.Position

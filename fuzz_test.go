@@ -116,6 +116,7 @@ func FuzzParseFaultSchedule(f *testing.F) {
 // handcrafted Results: the Adapt-only kind/reconf/sel suffix, a drop=
 // field, an exec= field, and an unfinished app that shows none.
 func TestResultsStringPinned(t *testing.T) {
+	t.Parallel()
 	var r Results
 	r.Design = DesignAdaptNoC
 	r.Cycles = 40000

@@ -42,6 +42,10 @@ const (
 	NumVNets         = 2
 )
 
+// MaxPortVCs bounds the VCs of one port (NumVNets × VCsPerVNet): a router
+// tracks a port's occupied VCs in one 64-bit mask.
+const MaxPortVCs = 64
+
 // String implements fmt.Stringer.
 func (v VNet) String() string {
 	switch v {
@@ -156,6 +160,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("noc: invalid grid %dx%d", c.Width, c.Height)
 	case c.VCsPerVNet <= 0:
 		return fmt.Errorf("noc: need at least one VC per vnet, got %d", c.VCsPerVNet)
+	case NumVNets*c.VCsPerVNet > MaxPortVCs:
+		return fmt.Errorf("noc: %d VCs per vnet give a port %d VCs, limit %d",
+			c.VCsPerVNet, NumVNets*c.VCsPerVNet, MaxPortVCs)
 	case c.VCDepth < c.DataFlits:
 		return fmt.Errorf("noc: virtual cut-through requires VC depth >= packet size (%d < %d)",
 			c.VCDepth, c.DataFlits)

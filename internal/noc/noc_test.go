@@ -14,12 +14,13 @@ func TestConfigValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, mut := range map[string]func(*Config){
-		"zero grid":        func(c *Config) { c.Width = 0 },
-		"no VCs":           func(c *Config) { c.VCsPerVNet = 0 },
-		"vct depth":        func(c *Config) { c.VCDepth = c.DataFlits - 1 },
-		"router latency":   func(c *Config) { c.RouterLatency = 0 },
-		"link latency":     func(c *Config) { c.LinkLatency = 0 },
-		"zero-flit packet": func(c *Config) { c.CtrlFlits = 0 },
+		"zero grid":         func(c *Config) { c.Width = 0 },
+		"no VCs":            func(c *Config) { c.VCsPerVNet = 0 },
+		"VCs past the mask": func(c *Config) { c.VCsPerVNet = MaxPortVCs/NumVNets + 1 },
+		"vct depth":         func(c *Config) { c.VCDepth = c.DataFlits - 1 },
+		"router latency":    func(c *Config) { c.RouterLatency = 0 },
+		"link latency":      func(c *Config) { c.LinkLatency = 0 },
+		"zero-flit packet":  func(c *Config) { c.CtrlFlits = 0 },
 	} {
 		c := DefaultConfig()
 		mut(&c)

@@ -478,9 +478,7 @@ func (r *Router) receiveFlit(port int, f *Flit, now sim.Cycle) {
 		}
 	}
 	vc.push(f)
-	if f.VC < 64 {
-		in.liveMask |= 1 << uint(f.VC)
-	}
+	in.liveMask |= 1 << uint(f.VC)
 	in.occupied++
 	r.buffered++
 	r.act.BufferWrites++
@@ -593,23 +591,16 @@ func (r *Router) stagePipeline(now sim.Cycle) {
 	tablesReady := now >= r.tableReadyAt
 	r.reqMask = 0
 
-	// Walk only the occupied VCs of each port via the live-bit mask; set
-	// bits ascend, so VC order matches the full scan exactly. The mask
-	// tracks 64 VCs — wider configurations scan the whole slice.
-	maskScan := NumVNets*r.cfg.VCsPerVNet <= 64
+	// Walk only the occupied VCs of each port via the live-bit mask (a
+	// port has at most MaxPortVCs); set bits ascend, so VC order matches a
+	// full scan exactly.
 	for pi := range r.inputs {
 		in := &r.inputs[pi]
 		if in.occupied == 0 {
 			continue
 		}
-		if maskScan {
-			for mask := in.liveMask; mask != 0; mask &= mask - 1 {
-				r.stageVC(in, bits.TrailingZeros64(mask), now, tablesReady)
-			}
-		} else {
-			for i := range in.vcs {
-				r.stageVC(in, i, now, tablesReady)
-			}
+		for mask := in.liveMask; mask != 0; mask &= mask - 1 {
+			r.stageVC(in, bits.TrailingZeros64(mask), now, tablesReady)
 		}
 	}
 
@@ -767,7 +758,7 @@ func (r *Router) traverse(out *OutputPort, port, vcIdx int, now sim.Cycle) {
 	in := &r.inputs[port]
 	vc := &in.vcs[vcIdx]
 	f := vc.pop()
-	if vc.n == 0 && vcIdx < 64 {
+	if vc.n == 0 {
 		in.liveMask &^= 1 << uint(vcIdx)
 	}
 	in.occupied--

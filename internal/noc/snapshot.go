@@ -603,9 +603,7 @@ func (r *Router) snapState(c *snap.Codec, tbl pktTable) {
 			if c.Decoding() && vc.n > 0 {
 				in.occupied += vc.n
 				r.buffered += vc.n
-				if i < 64 {
-					in.liveMask |= 1 << uint(i)
-				}
+				in.liveMask |= 1 << uint(i)
 			}
 			c.Bool(&vc.routed)
 			c.Int(&vc.outPort)
@@ -628,11 +626,29 @@ func (r *Router) snapState(c *snap.Codec, tbl pktTable) {
 	}
 	for oi := range r.outputs {
 		out := &r.outputs[oi]
-		hasOut := out.out != nil
-		if c.Bool(&hasOut); hasOut != (out.out != nil) {
-			c.Failf("noc: router %d port %d attachment mismatch (checkpoint %v)", id, oi, hasOut)
+		// The attachment record is 1 for an attached output and 0 for an
+		// unattached one, or 2 with its arbitration pointer following.
+		// attachOut resets every other output field but not rr, so a port
+		// a fault or a reconfiguration detached carries its pointer to
+		// the re-attach — and so must a restore. 0 and 1 are the bytes of
+		// a Bool, so a blob without such a port reads as it always did.
+		attach := 0
+		switch {
+		case out.out != nil:
+			attach = 1
+		case out.rr != 0:
+			attach = 2
+		}
+		got := c.Count(attach, 0)
+		if got > 2 || (got == 1) != (out.out != nil) {
+			c.Failf("noc: router %d port %d attachment mismatch (checkpoint %d)", id, oi, got)
 		}
 		if out.out == nil {
+			if got == 2 {
+				if c.Int(&out.rr); c.Decoding() && (out.rr <= 0 || out.rr >= len(r.inputs)*nvc) {
+					c.Failf("noc: router %d port %d arbitration pointer %d", id, oi, out.rr)
+				}
+			}
 			continue
 		}
 		c.Len(len(out.credits), "noc: router %d port %d credit VCs", id, oi)

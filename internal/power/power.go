@@ -11,6 +11,8 @@ package power
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 
 	"adaptnoc/internal/noc"
 	"adaptnoc/internal/sim"
@@ -108,14 +110,68 @@ func (b Breakdown) String() string {
 type Meter struct {
 	P   Params
 	net *noc.Network
+	// built is the channel list the network was built with and rank the
+	// position of each of its source endpoints (see channels).
+	built []*noc.Channel
+	rank  map[noc.Endpoint]int
 
 	total       Breakdown
 	lastCollect map[noc.NodeID]sim.Cycle
 }
 
-// NewMeter attaches a meter to a network.
+// NewMeter attaches a meter to a built network: the channels present now
+// fix the order link energy is summed in.
 func NewMeter(net *noc.Network, p Params) *Meter {
-	return &Meter{P: p, net: net, lastCollect: make(map[noc.NodeID]sim.Cycle)}
+	m := &Meter{P: p, net: net, lastCollect: make(map[noc.NodeID]sim.Cycle)}
+	m.built = slices.Clone(net.Channels())
+	m.rank = make(map[noc.Endpoint]int, len(m.built))
+	for i, ch := range m.built {
+		m.rank[ch.From] = i
+	}
+	return m
+}
+
+// channels is the network's channels in the order link energy is summed
+// in. A float sum depends on its order, and the network's list order is
+// history — a removal moves the last channel into the gap, and a restore
+// rebuilds rewired links in another order than the run that rewired them.
+// So the list is used as is while it is the one built; once rewired, the
+// channels from built source endpoints come in built order and the rest
+// after them in (From, To) order, a function of the wiring alone that a
+// run and its restore agree on.
+func (m *Meter) channels() []*noc.Channel {
+	cur := m.net.Channels()
+	if slices.Equal(cur, m.built) {
+		return cur
+	}
+	out := slices.Clone(cur)
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		ra, aok := m.rank[a.From]
+		rb, bok := m.rank[b.From]
+		switch {
+		case aok != bok:
+			return aok
+		case aok && ra != rb:
+			return ra < rb
+		case a.From != b.From:
+			return endpointLess(a.From, b.From)
+		}
+		return endpointLess(a.To, b.To)
+	})
+	return out
+}
+
+func endpointLess(a, b noc.Endpoint) bool {
+	switch {
+	case a.Kind != b.Kind:
+		return a.Kind < b.Kind
+	case a.Router != b.Router:
+		return a.Router < b.Router
+	case a.Port != b.Port:
+		return a.Port < b.Port
+	}
+	return a.NI < b.NI
 }
 
 // CollectRegionAt is CollectRegion with per-region window bookkeeping: the
@@ -225,7 +281,7 @@ func (m *Meter) CollectRegion(tiles []noc.NodeID, elapsedCycles int64) RegionWin
 	// Channels: dynamic by flit·mm, static by presence, attributed to the
 	// source router's region.
 	elapsedNS := float64(elapsedCycles) * cycleNS
-	for _, ch := range m.net.Channels() {
+	for _, ch := range m.channels() {
 		src := channelSourceTile(ch)
 		if !inRegion[src] {
 			continue

@@ -31,11 +31,12 @@ import (
 )
 
 // Magic and Version identify a checkpoint blob. Version bumps on any
-// format change; version 2 gzip-compresses the body, and readers accept
-// no other.
+// format change; version 2 gzip-compresses the body, version 3 keeps the
+// arbitration pointer of a detached router output, and readers accept no
+// other.
 const (
 	Magic   = "ADNOCKPT"
-	Version = 2
+	Version = 3
 )
 
 // maxBodyBytes caps the decompressed size Open will produce (256 MiB —

@@ -281,6 +281,8 @@ func DecodeTrace(blob []byte) (*Trace, error) {
 	return t, nil
 }
 
+// decodeTraceApp reads one app section. Its errors name no package:
+// DecodeTrace prefixes the package and the app.
 func decodeTraceApp(r *snap.Reader, a *TraceApp) error {
 	var err error
 	if a.Profile, err = r.String(); err != nil {
@@ -302,7 +304,7 @@ func decodeTraceApp(r *snap.Reader, a *TraceApp) error {
 			return err
 		}
 		if int64(int32(v)) != v {
-			return corruptf("MC %d: tile %d overflows", i, v)
+			return fmt.Errorf("MC %d: tile %d overflows", i, v)
 		}
 		a.MCs[i] = int32(v)
 	}
@@ -313,7 +315,7 @@ func decodeTraceApp(r *snap.Reader, a *TraceApp) error {
 		return err
 	}
 	if nNodes > maxTraceNodes {
-		return corruptf("%d nodes, limit %d", nNodes, maxTraceNodes)
+		return fmt.Errorf("%d nodes, limit %d", nNodes, maxTraceNodes)
 	}
 	a.Nodes = make([]TraceNode, nNodes)
 	return decodeTraceNodes(r.Rest(), a)
@@ -349,15 +351,15 @@ func decodeTraceNodes(buf []byte, a *TraceApp) error {
 		nDeps := next()
 		switch {
 		case bad:
-			return corruptf("node %d: bad varint", ni)
+			return fmt.Errorf("node %d: bad varint", ni)
 		case flags&^uint64(7) != 0:
-			return corruptf("node %d: unknown flags %#x", ni, flags)
+			return fmt.Errorf("node %d: unknown flags %#x", ni, flags)
 		case int64(int32(src)) != src || int64(int32(dst)) != dst:
-			return corruptf("node %d: endpoint %d -> %d overflows", ni, src, dst)
+			return fmt.Errorf("node %d: endpoint %d -> %d overflows", ni, src, dst)
 		case gap > 1<<32-1:
-			return corruptf("node %d: gap %d overflows", ni, gap)
+			return fmt.Errorf("node %d: gap %d overflows", ni, gap)
 		case nDeps > maxNodeDeps:
-			return corruptf("node %d: %d deps, limit %d", ni, nDeps, maxNodeDeps)
+			return fmt.Errorf("node %d: %d deps, limit %d", ni, nDeps, maxNodeDeps)
 		}
 		n.Data = flags&1 != 0
 		n.SrcAbs = flags&2 != 0
@@ -368,10 +370,10 @@ func decodeTraceNodes(buf []byte, a *TraceApp) error {
 		for range nDeps {
 			back := next()
 			if bad {
-				return corruptf("node %d: bad varint", ni)
+				return fmt.Errorf("node %d: bad varint", ni)
 			}
 			if back == 0 || back > uint64(ni) {
-				return corruptf("node %d: dep distance %d out of range", ni, back)
+				return fmt.Errorf("node %d: dep distance %d out of range", ni, back)
 			}
 			// Appending keeps Deps nil for a dependency-free app, the
 			// same value a literal without Deps holds.
@@ -382,11 +384,11 @@ func decodeTraceNodes(buf []byte, a *TraceApp) error {
 		n.DL1I = unzigzag(next())
 		n.DL2 = unzigzag(next())
 		if bad {
-			return corruptf("node %d: bad varint", ni)
+			return fmt.Errorf("node %d: bad varint", ni)
 		}
 	}
 	if off != len(buf) {
-		return corruptf("%d trailing bytes after the last node", len(buf)-off)
+		return fmt.Errorf("%d trailing bytes after the last node", len(buf)-off)
 	}
 	return nil
 }

@@ -2,7 +2,10 @@ package traffic
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -152,6 +155,32 @@ func TestDecodeTraceRejects(t *testing.T) {
 				t.Fatal("decode accepted a corrupt blob")
 			}
 		})
+	}
+}
+
+// TestDecodeTraceErrorNamesAppAndNode: a fault inside an app's node
+// stream is reported with the package named once, then the app, then the
+// node. The blob is the truncated-mid-node fuzz seed.
+func TestDecodeTraceErrorNamesAppAndNode(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzDecodeTrace", "truncated-mid-node"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit, ok := strings.CutPrefix(strings.TrimSpace(strings.SplitN(string(raw), "\n", 2)[1]), "[]byte(")
+	if !ok {
+		t.Fatalf("unexpected corpus file layout:\n%s", raw)
+	}
+	blob, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = DecodeTrace([]byte(blob))
+	if err == nil {
+		t.Fatal("decode accepted a blob truncated mid-node")
+	}
+	msg := err.Error()
+	if n := strings.Count(msg, "traffic:"); n != 1 || !strings.HasPrefix(msg, "traffic: trace app 0: node ") {
+		t.Fatalf("error %q: want one \"traffic:\" followed by the app and the node", msg)
 	}
 }
 

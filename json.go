@@ -192,7 +192,7 @@ func (c Config) Validate() error {
 	}
 	if c.VCsPerVNet > maxVCsPerVNet {
 		return fieldErrf("vcsPerVNet", "%d VCs per virtual network, limit %d", c.VCsPerVNet, maxVCsPerVNet).
-			hint("use 0 for the design's default VC count; a router holds at most %d VCs per input port", noc.NumVNets*maxVCsPerVNet)
+			hint("use 0 for the design's default VC count; a router holds at most %d VCs per input port", noc.MaxPortVCs)
 	}
 	if c.SetupCycles < 0 {
 		return fieldErrf("setupCycles", "negative setup time %d", c.SetupCycles).

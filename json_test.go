@@ -22,6 +22,7 @@ func sampleConfig() Config {
 }
 
 func TestConfigJSONRoundTrip(t *testing.T) {
+	t.Parallel()
 	cfg := sampleConfig()
 	cfg.Apps[0].ShareMCs = 2
 	cfg.Apps[1].Static = TorusTree
@@ -49,6 +50,7 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 }
 
 func TestResultsJSONRoundTrip(t *testing.T) {
+	t.Parallel()
 	r := sampleResults()
 	r.Apps[0].FinalKind = Torus
 	r.Apps[0].Selections[int(Torus)] = 0.75
@@ -68,6 +70,7 @@ func TestResultsJSONRoundTrip(t *testing.T) {
 // TestConfigValidateFieldNames proves every rejection names the offending
 // field, so API clients can see what to fix.
 func TestConfigValidateFieldNames(t *testing.T) {
+	t.Parallel()
 	cases := []struct {
 		name  string
 		mod   func(*Config)
@@ -115,6 +118,7 @@ func TestConfigValidateFieldNames(t *testing.T) {
 }
 
 func TestParseConfigStrict(t *testing.T) {
+	t.Parallel()
 	if _, err := ParseConfig([]byte(`{"design":"baseline","apps":[{"profile":"bfs","region":{"x":0,"y":0,"w":4,"h":4}}],"turbo":true}`)); err == nil || !strings.Contains(err.Error(), "turbo") {
 		t.Fatalf("unknown field not rejected by name: %v", err)
 	}
@@ -140,6 +144,7 @@ func TestParseConfigStrict(t *testing.T) {
 // latency schedules an event in the past, a zero clock makes the energy
 // NaN.
 func TestParseConfigRejectsRemovedKnobs(t *testing.T) {
+	t.Parallel()
 	for _, tc := range []struct{ key, fragment string }{
 		{"memory", `"memory":{"l2LatencyCycles":8,"mcLatencyCycles":-100,"mcServiceCycles":2}`},
 		{"power", `"power":{"clockGHz":0}`},
@@ -167,6 +172,7 @@ func TestParseConfigRejectsRemovedKnobs(t *testing.T) {
 // Config (apps and faults count as one each) is a value some experiment,
 // driver or test sets. A new knob needs a caller and a line here.
 func TestConfigSettableValues(t *testing.T) {
+	t.Parallel()
 	want := []string{
 		"design", "apps", "width", "height", "seed", "epochCycles",
 		"rl.pretrained", "rl.train", "rl.epsilon", "rl.epsilonSet", "rl.gamma",
@@ -197,6 +203,7 @@ func TestConfigSettableValues(t *testing.T) {
 // TestCanonicalEquivalence proves NewSim(cfg) and NewSim(cfg.Canonical())
 // simulate identically, and that Canonical is idempotent.
 func TestCanonicalEquivalence(t *testing.T) {
+	t.Parallel()
 	cfg := sampleConfig()
 	canon := cfg.Canonical()
 	if !reflect.DeepEqual(canon, canon.Canonical()) {
@@ -221,6 +228,7 @@ func TestCanonicalEquivalence(t *testing.T) {
 // TestRunContext proves the context-aware runners complete identically to
 // their plain counterparts and stop early on cancellation.
 func TestRunContext(t *testing.T) {
+	// Not parallel: it checks when the run loops notice cancellation.
 	mk := func() *Sim {
 		s, err := NewSim(Config{Design: DesignBaseline, Apps: DefaultMixed(0), Seed: 1, EpochCycles: 10000})
 		if err != nil {

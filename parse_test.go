@@ -3,6 +3,7 @@ package adaptnoc
 import "testing"
 
 func TestParseAppSpecs(t *testing.T) {
+	t.Parallel()
 	apps, err := ParseAppSpecs("bfs:0,0,4,8:tree; canneal:4,0,4,4:cmesh; ferret:4,4,4,4")
 	if err != nil {
 		t.Fatal(err)
@@ -26,6 +27,7 @@ func TestParseAppSpecs(t *testing.T) {
 }
 
 func TestParseAppSpecsErrors(t *testing.T) {
+	t.Parallel()
 	for _, bad := range []string{
 		"",
 		"unknownapp:0,0,4,4",
@@ -43,6 +45,7 @@ func TestParseAppSpecsErrors(t *testing.T) {
 }
 
 func TestParseKindAndDesign(t *testing.T) {
+	t.Parallel()
 	for _, k := range []Kind{Mesh, CMesh, Torus, Tree, TorusTree} {
 		got, err := ParseKind(k.String())
 		if err != nil || got != k {

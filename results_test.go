@@ -20,6 +20,7 @@ func sampleResults() Results {
 }
 
 func TestResultsWeightedMeans(t *testing.T) {
+	t.Parallel()
 	r := sampleResults()
 	// Delivery-weighted: (20*100 + 10*300) / 400 = 12.5.
 	if got := r.MeanLatency(); got != 12.5 {
@@ -43,6 +44,7 @@ func TestResultsWeightedMeans(t *testing.T) {
 }
 
 func TestResultsStringAndJSON(t *testing.T) {
+	t.Parallel()
 	r := sampleResults()
 	s := r.String()
 	for _, want := range []string{"adapt-noc", "bfs", "ferret", "exec=900"} {

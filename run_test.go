@@ -26,6 +26,7 @@ func runToSim(t *testing.T, budget int64) *adaptnoc.Sim {
 // TestRunTo pins the one run loop: where it cuts slices, when it calls
 // back, where a finite config stops, and that errors come back unchanged.
 func TestRunTo(t *testing.T) {
+	t.Parallel()
 	ctx := context.Background()
 	// runTo runs s to limit and returns the clock at each callback.
 	runTo := func(t *testing.T, s *adaptnoc.Sim, limit, every adaptnoc.Cycle) []adaptnoc.Cycle {

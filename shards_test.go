@@ -51,6 +51,7 @@ func shardConfigs() []adaptnoc.Config {
 // aggregate numbers but every packet, VC ring, credit counter, and RNG
 // stream must land in the same state.
 func TestShardedResultsByteIdentical(t *testing.T) {
+	t.Parallel()
 	const cycles = 20000
 	for _, cfg := range shardConfigs() {
 		t.Run(cfg.Design.String(), func(t *testing.T) {
@@ -94,6 +95,7 @@ func TestShardedResultsByteIdentical(t *testing.T) {
 // sharded run and a sharded blob restored into a serial run must both
 // finish byte-identical to the uninterrupted serial reference.
 func TestShardedRestoreCrossesShardCounts(t *testing.T) {
+	t.Parallel()
 	const mid, total = 9000, 18000
 	cfg := shardConfigs()[2] // the RL design: reconfiguration mid-window
 	ref, err := adaptnoc.NewSim(cfg)
@@ -152,6 +154,7 @@ func TestShardedRestoreCrossesShardCounts(t *testing.T) {
 // of a sharded run: credit conservation, VC exclusivity, and flit
 // accounting must hold at every barrier, not just at the end.
 func TestShardedVerifyInvariants(t *testing.T) {
+	t.Parallel()
 	cfg := shardConfigs()[1] // torus subNoCs: wraparound + dateline state
 	s, err := adaptnoc.NewSim(cfg)
 	if err != nil {
@@ -169,6 +172,7 @@ func TestShardedVerifyInvariants(t *testing.T) {
 // TestShardedBigGridTiledMixed covers the chip sizes sharding exists for:
 // a 16×16 tiled mixed workload, serial vs two shards.
 func TestShardedBigGridTiledMixed(t *testing.T) {
+	t.Parallel()
 	cfg := adaptnoc.Config{
 		Design:      adaptnoc.DesignBaseline,
 		Apps:        adaptnoc.TiledMixed(16, 16, 0),

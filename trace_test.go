@@ -83,6 +83,7 @@ const traceTestMaxCycles = 200000
 //
 //	go test -run TestGoldenTraceReplay -update-trace-golden
 func TestGoldenTraceReplay(t *testing.T) {
+	t.Parallel()
 	blob := recordMixedTrace(t, 6000)
 	s := replaySim(t, blob)
 	// Tripwire: at a seeded cycle mid-replay, checkpoint, restore, and
@@ -134,6 +135,7 @@ func TestGoldenTraceReplay(t *testing.T) {
 // TestTraceReplayShardByteIdentical replays the same trace serially and
 // with four tick shards; the results must be byte-identical.
 func TestTraceReplayShardByteIdentical(t *testing.T) {
+	t.Parallel()
 	blob := recordMixedTrace(t, 5000)
 
 	run := func(shards int) []byte {
@@ -158,6 +160,7 @@ func TestTraceReplayShardByteIdentical(t *testing.T) {
 // would), and requires byte-identical results against the uninterrupted
 // replay — with the restored half running at a different shard count.
 func TestTraceReplayCheckpointResume(t *testing.T) {
+	t.Parallel()
 	blob := recordMixedTrace(t, 5000)
 
 	ref := replaySim(t, blob)
@@ -193,6 +196,7 @@ func TestTraceReplayCheckpointResume(t *testing.T) {
 
 // TestRecordTraceAPIMisuse covers the recording preconditions.
 func TestRecordTraceAPIMisuse(t *testing.T) {
+	t.Parallel()
 	s, err := adaptnoc.NewSim(adaptnoc.Config{
 		Design: adaptnoc.DesignBaseline,
 		Apps:   adaptnoc.DefaultMixed(0),
@@ -213,6 +217,7 @@ func TestRecordTraceAPIMisuse(t *testing.T) {
 // TestNewSimRejectsBadTraceSpecs covers the replay-spec validation in
 // NewSim / resolveTraceSpec.
 func TestNewSimRejectsBadTraceSpecs(t *testing.T) {
+	t.Parallel()
 	blob := recordMixedTrace(t, 2000)
 	apps, w, h, err := adaptnoc.TraceWorkload(blob)
 	if err != nil {
@@ -250,6 +255,7 @@ func TestNewSimRejectsBadTraceSpecs(t *testing.T) {
 // edited in place, or replaced outright, after TraceWorkload is decoded
 // afresh by Validate and NewSim.
 func TestCarriedDecodeNeverStale(t *testing.T) {
+	t.Parallel()
 	config := func(apps []adaptnoc.AppSpec) adaptnoc.Config {
 		return adaptnoc.Config{Design: adaptnoc.DesignBaseline, Apps: apps, Seed: 2021, EpochCycles: 4000}
 	}
@@ -374,6 +380,7 @@ func TestCarriedDecodeNeverStale(t *testing.T) {
 // synthetic profile for a trace leaves the other apps' RNG streams — and
 // therefore their traffic — untouched.
 func TestTraceSpecDoesNotShiftNeighbourStreams(t *testing.T) {
+	t.Parallel()
 	blob := recordMixedTrace(t, 2000)
 	apps, w, h, err := adaptnoc.TraceWorkload(blob)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 )
 
 func TestBlockMCsProvisioning(t *testing.T) {
+	t.Parallel()
 	// One MC per 2x4 block (Section II-C.2).
 	for _, tc := range []struct {
 		reg  Region
@@ -25,6 +26,7 @@ func TestBlockMCsProvisioning(t *testing.T) {
 }
 
 func TestBlockMCsInsideRegion(t *testing.T) {
+	t.Parallel()
 	f := func(x, y, w, h uint8) bool {
 		reg := Region{X: int(x % 7), Y: int(y % 7), W: int(w%4) + 1, H: int(h%4) + 1}
 		if reg.X+reg.W > 8 || reg.Y+reg.H > 8 {
@@ -43,6 +45,7 @@ func TestBlockMCsInsideRegion(t *testing.T) {
 }
 
 func TestMixedWorkloadShape(t *testing.T) {
+	t.Parallel()
 	apps := MixedWorkload("bfs", "canneal", "ferret", 1000)
 	if len(apps) != 3 {
 		t.Fatalf("%d apps", len(apps))
@@ -68,6 +71,7 @@ func TestMixedWorkloadShape(t *testing.T) {
 }
 
 func TestCentralMCMinimizesDistance(t *testing.T) {
+	t.Parallel()
 	reg := Region{W: 4, H: 8}
 	spec := AppSpec{Region: reg, MCTiles: BlockMCs(reg)}
 	mc := centralMC(spec, 8)
@@ -80,6 +84,7 @@ func TestCentralMCMinimizesDistance(t *testing.T) {
 }
 
 func TestLoadPolicyRejectsGarbage(t *testing.T) {
+	t.Parallel()
 	if _, err := LoadPolicy([]byte("not json")); err == nil {
 		t.Fatal("garbage accepted")
 	}
