@@ -28,11 +28,10 @@ package adaptnoc
 // The sealed blob is framed and gzip-compressed by snap.Seal. A checkpoint
 // is only valid for the exact simulator version that wrote it.
 //
-// Every checkpoint walks every section. What keeps a rolling delta cheap
-// is one dirty-tracking tier, inside internal/noc: quiescent routers,
-// channels and NIs splice their previous encoding instead of re-encoding
-// (noc.SnapshotVerify is its tripwire), and the frame encoder's part-level
-// content compare turns unchanged bytes into COPY ops.
+// Every checkpoint walks every section and every component in it. There
+// is no dirty tracking; the frame encoder's content compare is what keeps
+// a rolling delta small, turning each part's unchanged bytes into COPY
+// ops.
 
 import (
 	"encoding/json"

@@ -5,8 +5,10 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"path"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -26,9 +28,13 @@ var deadcodeAllowed = map[string]string{
 // TestNoDeadInternalCode fails on any top-level func, method, type, const
 // or var declared in non-test code under internal/ that no non-test code
 // of the module, or of the benchmark module, uses. Uses are matched by
-// name, so the check can miss dead code but never invents it. A function's
-// call to itself, a type's reference to itself and a method's receiver do
-// not count as uses. Code that only tests need belongs in a _test.go file.
+// name, so the check can miss dead code but never invents it. A method
+// counts as used only where it is selected on a value or type (x.M, not
+// pkg.M, judged from the file's imports) or listed in an interface, so a
+// method sharing its name with a type or function is not used by that
+// name. A function's call to itself, a type's reference to itself and a
+// method's receiver do not count as uses. Code that only tests need
+// belongs in a _test.go file.
 func TestNoDeadInternalCode(t *testing.T) {
 	t.Parallel()
 	type decl struct {
@@ -36,7 +42,7 @@ func TestNoDeadInternalCode(t *testing.T) {
 		pos  token.Position
 	}
 	var decls []decl
-	used := map[string]bool{}
+	u := uses{idents: map[string]bool{}, methods: map[string]bool{}}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -56,6 +62,8 @@ func TestNoDeadInternalCode(t *testing.T) {
 			return err
 		}
 		internal := strings.HasPrefix(filepath.ToSlash(path), "internal/")
+		imports := importNames(f)
+		mark := func(n ast.Node, own map[string]bool) { u.mark(n, own, imports) }
 		declare := func(name string, pos token.Pos) {
 			if internal && name != "_" && name != "init" {
 				decls = append(decls, decl{name, fset.Position(pos)})
@@ -65,13 +73,13 @@ func TestNoDeadInternalCode(t *testing.T) {
 			switch d := d.(type) {
 			case *ast.FuncDecl:
 				if d.Recv == nil {
-					markUses(d, map[string]bool{d.Name.Name: true}, used)
+					mark(d, map[string]bool{d.Name.Name: true})
 					declare(d.Name.Name, d.Pos())
 					continue
 				}
-				markUses(d.Type, nil, used)
+				mark(d.Type, nil)
 				if d.Body != nil {
-					markUses(d.Body, nil, used)
+					mark(d.Body, nil)
 				}
 				declare(recvName(d.Recv)+"."+d.Name.Name, d.Pos())
 			case *ast.GenDecl:
@@ -88,7 +96,7 @@ func TestNoDeadInternalCode(t *testing.T) {
 						own[id.Name] = true
 						declare(id.Name, id.Pos())
 					}
-					markUses(s, own, used)
+					mark(s, own)
 				}
 			}
 		}
@@ -102,23 +110,62 @@ func TestNoDeadInternalCode(t *testing.T) {
 		return a.Filename < b.Filename || a.Filename == b.Filename && a.Line < b.Line
 	})
 	for _, d := range decls {
-		name := d.name[strings.LastIndex(d.name, ".")+1:]
-		if !used[name] && deadcodeAllowed[name] == "" {
+		dot := strings.LastIndex(d.name, ".")
+		name := d.name[dot+1:]
+		used := u.idents[name]
+		if dot >= 0 {
+			used = u.methods[name]
+		}
+		if !used && deadcodeAllowed[name] == "" {
 			t.Errorf("%s:%d: %s has no use outside tests: delete it, or move it into a _test.go file",
 				d.pos.Filename, d.pos.Line, d.name)
 		}
 	}
 }
 
-// markUses records every identifier under n as used, except those in own
-// (the declaration's own names).
-func markUses(n ast.Node, own, used map[string]bool) {
+// uses is what non-test code names: every identifier, and among them the
+// method names it selects on a non-package operand or lists in an
+// interface.
+type uses struct{ idents, methods map[string]bool }
+
+// mark records the uses under n, except the identifiers in own (the
+// declaration's own names). imports holds the file's package names, whose
+// selections (pkg.Name) are not method uses.
+func (u uses) mark(n ast.Node, own, imports map[string]bool) {
 	ast.Inspect(n, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && !own[id.Name] {
-			used[id.Name] = true
+		switch n := n.(type) {
+		case *ast.Ident:
+			if !own[n.Name] {
+				u.idents[n.Name] = true
+			}
+		case *ast.SelectorExpr:
+			if id, ok := n.X.(*ast.Ident); !ok || !imports[id.Name] {
+				u.methods[n.Sel.Name] = true
+			}
+		case *ast.InterfaceType:
+			for _, m := range n.Methods.List {
+				for _, id := range m.Names {
+					u.methods[id.Name] = true
+				}
+			}
 		}
 		return true
 	})
+}
+
+// importNames is the set of names a file refers to its imports by: the
+// explicit name, else the path's last element.
+func importNames(f *ast.File) map[string]bool {
+	names := map[string]bool{}
+	for _, imp := range f.Imports {
+		if imp.Name != nil {
+			names[imp.Name.Name] = true
+			continue
+		}
+		p, _ := strconv.Unquote(imp.Path.Value)
+		names[path.Base(p)] = true
+	}
+	return names
 }
 
 // recvName is the receiver's type name, without pointer or type arguments.

@@ -127,9 +127,6 @@ func New(net *noc.Network, kernel *sim.Kernel, cfg Config) *Fabric {
 	return f
 }
 
-// Network returns the underlying network.
-func (f *Fabric) Network() *noc.Network { return f.net }
-
 // SubNoCs returns the live subNoCs (do not mutate).
 func (f *Fabric) SubNoCs() []*SubNoC { return f.subnocs }
 

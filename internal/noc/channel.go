@@ -134,21 +134,10 @@ type Channel struct {
 	// harvested marks how many of FlitsCarried the power meter has
 	// already accounted.
 	harvested int64
-
-	// Snapshot splice cache (see snapComponent): the bytes this channel
-	// serialized to last time, valid while snapClean holds. snapClean is
-	// only ever set for a non-queued channel — a queued channel is ticked
-	// and mutated — and is cleared at every transition that can change a
-	// quiet channel's serialized state: getting woken, being dropped from
-	// a work list after draining, harvesting, and re-carves (a boundary
-	// channel mutates while permanently queued, so its wake never fires).
-	snapClean bool
-	snapBytes []byte
 }
 
 // TakeFlits returns the flits carried since the last harvest.
 func (c *Channel) TakeFlits() int64 {
-	c.snapClean = false
 	n := c.FlitsCarried - c.harvested
 	c.harvested = c.FlitsCarried
 	return n
@@ -184,7 +173,6 @@ func (c *Channel) wake() {
 		return
 	}
 	c.queued = true
-	c.snapClean = false
 	reg := c.net.regions[c.shard]
 	reg.wokenCh = append(reg.wokenCh, c)
 }

@@ -22,3 +22,28 @@ func MakeFlits(p *Packet) []Flit {
 	}
 	return fillFlits(p, make([]Flit, p.Size))
 }
+
+// add accumulates another pool's counters.
+func (s *PoolStats) add(o PoolStats) {
+	s.PacketsCarved += o.PacketsCarved
+	s.PacketsReused += o.PacketsReused
+	s.PacketsFreed += o.PacketsFreed
+	s.SlabsCarved += o.SlabsCarved
+	s.SlabsReused += o.SlabsReused
+	s.SlabsFreed += o.SlabsFreed
+	s.ArenaFlits += o.ArenaFlits
+}
+
+// PoolStats returns the network's arena counters, summed over the shard
+// pools. In steady state only the Reused/Freed counters advance; Carved
+// counters advancing under constant load means recycling broke. The split
+// between pools — unlike the simulation results — depends on the shard
+// count, so PoolStats is diagnostic state and is not serialized in
+// checkpoints.
+func (n *Network) PoolStats() PoolStats {
+	var s PoolStats
+	for i := range n.pools {
+		s.add(n.pools[i].stats)
+	}
+	return s
+}

@@ -42,7 +42,7 @@ const (
 )
 
 // PoolStats counts arena traffic; reuse counters prove that a steady-state
-// simulation stops allocating (see Network.PoolStats).
+// simulation stops allocating (tests sum them with Network.PoolStats).
 type PoolStats struct {
 	PacketsCarved int64 // packets carved fresh from an arena block
 	PacketsReused int64 // NewPacket calls served from the free list
@@ -141,29 +141,4 @@ func (pl *pool) putSlab(s []Flit) {
 		}
 	}
 	pl.classes = append(pl.classes, slabClass{size: size, free: [][]Flit{s}})
-}
-
-// add accumulates another pool's counters.
-func (s *PoolStats) add(o PoolStats) {
-	s.PacketsCarved += o.PacketsCarved
-	s.PacketsReused += o.PacketsReused
-	s.PacketsFreed += o.PacketsFreed
-	s.SlabsCarved += o.SlabsCarved
-	s.SlabsReused += o.SlabsReused
-	s.SlabsFreed += o.SlabsFreed
-	s.ArenaFlits += o.ArenaFlits
-}
-
-// PoolStats returns the network's arena counters, summed over the shard
-// pools. In steady state only the Reused/Freed counters advance; Carved
-// counters advancing under constant load means recycling broke. The split
-// between pools — unlike the simulation results — depends on the shard
-// count, so PoolStats is diagnostic state and is not serialized in
-// checkpoints.
-func (n *Network) PoolStats() PoolStats {
-	var s PoolStats
-	for i := range n.pools {
-		s.add(n.pools[i].stats)
-	}
-	return s
 }

@@ -176,17 +176,6 @@ type Router struct {
 
 	// Activity counters (window-accumulated; see TakeActivity).
 	act RouterActivity
-
-	// Snapshot splice cache (see snapComponent): the bytes this router
-	// serialized to last time, valid while snapClean holds. snapClean is
-	// only ever set for a parked router — an active router is re-ticked
-	// every cycle — and is cleared by every mutation that can reach a
-	// parked router's serialized state: the park itself, lazy counter
-	// settlement (syncIdle), returning credits, activity harvesting,
-	// reconfiguration, and wiring changes. The tick pipeline never touches
-	// it, so dirty tracking costs nothing on the hot path.
-	snapClean bool
-	snapBytes []byte
 }
 
 // RouterActivity is the per-router event window used by the power model and
@@ -223,7 +212,6 @@ const MaxReconfigPorts = 11
 
 // addPortLocked appends one port with initialized VC rings.
 func (r *Router) addPortLocked() int {
-	r.snapClean = false
 	p := len(r.inputs)
 	nvc := NumVNets * r.cfg.VCsPerVNet
 	in := InputPort{index: p, vcs: make([]vcState, nvc)}
@@ -295,7 +283,6 @@ func (r *Router) Table(v VNet) *RoutingTable { return r.tables[v] }
 // cycles without changing the tables — the Ts connection-setup window of
 // the reconfiguration protocol (Section IV-A).
 func (r *Router) StallTables(now sim.Cycle, setup int) {
-	r.snapClean = false
 	ready := now + sim.Cycle(setup)
 	if ready > r.tableReadyAt {
 		r.tableReadyAt = ready
@@ -316,7 +303,6 @@ func (r *Router) SetDatelineVNet(v VNet, on bool) { r.useDateline[v] = on }
 // SetDisabled deep-powers the router off (fabric guarantees no routes use
 // it). A disabled router must be empty.
 func (r *Router) SetDisabled(off bool) {
-	r.snapClean = false
 	if off && r.Occupancy() != 0 {
 		panic(fmt.Sprintf("noc: disabling router %d with %d buffered flits", r.ID, r.Occupancy()))
 	}
@@ -379,7 +365,6 @@ func (r *Router) BufferCapacity() int {
 // call and resets it.
 func (r *Router) TakeActivity() RouterActivity {
 	r.syncIdle(r.net.lastTick)
-	r.snapClean = false
 	a := r.act
 	r.act = RouterActivity{}
 	return a
@@ -391,7 +376,6 @@ func (r *Router) TakeActivity() RouterActivity {
 func (r *Router) park(now sim.Cycle) {
 	r.parked = true
 	r.parkedAt = now + 1
-	r.snapClean = false
 }
 
 // syncIdle applies the activity counters for the parked cycles up to and
@@ -404,7 +388,6 @@ func (r *Router) syncIdle(through sim.Cycle) {
 	if !r.parked || through < r.parkedAt {
 		return
 	}
-	r.snapClean = false
 	n := int64(through - r.parkedAt + 1)
 	switch {
 	case r.disabled:
@@ -492,7 +475,6 @@ func (r *Router) receiveFlit(port int, f *Flit, now sim.Cycle) {
 // this router's output ports.
 func (r *Router) receiveCredit(port, vc int, now sim.Cycle) {
 	out := &r.outputs[port]
-	r.snapClean = false
 	out.credits[vc]++
 	if out.credits[vc] > out.depth {
 		panic(fmt.Sprintf("noc: credit overflow at router %d port %d vc %d", r.ID, port, vc))
@@ -846,7 +828,6 @@ func (r *Router) DebugDropCredit(port, vc int) {
 
 // attachIn connects a channel to an input port (the input mux selection).
 func (r *Router) attachIn(port int, ch *Channel) {
-	r.snapClean = false
 	in := &r.inputs[port]
 	if in.in != nil && ch != nil && in.in != ch && in.in.Busy() {
 		panic(fmt.Sprintf("noc: re-muxing busy input %d.%d", r.ID, port))
@@ -857,7 +838,6 @@ func (r *Router) attachIn(port int, ch *Channel) {
 // attachOut connects a channel to an output port and initializes the credit
 // mirror of the downstream buffer (downDepth flits per VC).
 func (r *Router) attachOut(port int, ch *Channel, downVCs, downDepth int) {
-	r.snapClean = false
 	out := &r.outputs[port]
 	if out.out != nil && ch != nil && out.out != ch && !out.holdFree() {
 		panic(fmt.Sprintf("noc: re-muxing busy output %d.%d", r.ID, port))

@@ -206,10 +206,9 @@ func (n *Network) carve() {
 			ch.queued = true
 			n.regions[s].activeCh = append(n.regions[s].activeCh, ch)
 		} else {
-			// A channel leaving permanently-queued boundary duty mutated
-			// without wake() ever firing; its splice cache is stale.
+			// An idle channel leaving boundary duty is unqueued so its
+			// next send wakes it.
 			ch.queued = false
-			ch.snapClean = false
 		}
 	}
 
@@ -269,7 +268,6 @@ func (n *Network) regionChannels(reg *shardRegion, now sim.Cycle) {
 	for _, ch := range reg.activeCh {
 		if !ch.active {
 			ch.queued = false
-			ch.snapClean = false
 			continue
 		}
 		n.tickChannel(ch, now, reg)
@@ -278,7 +276,6 @@ func (n *Network) regionChannels(reg *shardRegion, now sim.Cycle) {
 			keep = append(keep, ch)
 		} else {
 			ch.queued = false
-			ch.snapClean = false
 		}
 	}
 	for i := len(keep); i < len(reg.activeCh); i++ {

@@ -36,7 +36,6 @@ package noc
 // checkpoint fails the codec instead of corrupting the simulation.
 
 import (
-	"bytes"
 	"sort"
 
 	"adaptnoc/internal/snap"
@@ -274,7 +273,7 @@ func (n *Network) SnapState(c *snap.Codec, codec PayloadCodec) {
 	c.Len(len(n.routers), "noc: routers")
 	for _, r := range n.routers {
 		c.Mark(snap.PartKey(partNetRouter, uint64(r.ID)))
-		snapComponent(c, tbl, r, "router", int(r.ID), r.parked, &r.snapClean, &r.snapBytes)
+		r.snapState(c, tbl)
 	}
 
 	// Injectors, in the deterministic injection-list order (which is the
@@ -290,7 +289,7 @@ func (n *Network) SnapState(c *snap.Codec, codec PayloadCodec) {
 	c.Len(len(chs), "noc: channels")
 	for _, ch := range chs {
 		c.Mark(channelPartKey(ch))
-		snapComponent(c, tbl, ch, "channel", int(ch.From.Router), !ch.queued, &ch.snapClean, &ch.snapBytes)
+		ch.snapState(c, tbl)
 	}
 
 	if c.Decoding() {
@@ -299,46 +298,6 @@ func (n *Network) SnapState(c *snap.Codec, codec PayloadCodec) {
 		// routers) before the next Tick.
 		n.carveDirty = true
 	}
-}
-
-// SnapshotVerify makes encoding re-serialize every component it would
-// splice from cache and fail loudly on any byte difference — the tripwire
-// for a mutation site missing its snapClean clear. Tests arm it;
-// production leaves it off.
-var SnapshotVerify = false
-
-// snapComponent runs the description of one router or channel, the two
-// kinds that keep a splice cache (*cache: the bytes the component
-// serialized to last time, valid while *clean holds). Decoding invalidates
-// the cache. Encoding a quiet component — a parked router, an unqueued
-// channel — whose cache is clean re-emits those bytes instead of walking
-// it: quiet components dominate a mostly-idle mesh, so the walk goes from
-// O(chip) to O(active region) + a memcpy. Any other encode refreshes it.
-func snapComponent(c *snap.Codec, tbl pktTable, comp interface {
-	snapState(*snap.Codec, pktTable)
-}, kind string, id int, quiet bool, clean *bool, cache *[]byte) {
-	w := c.Writer()
-	if w == nil {
-		*clean = false
-		comp.snapState(c, tbl)
-		return
-	}
-	if quiet && *clean && *cache != nil {
-		if SnapshotVerify {
-			var vw snap.Writer
-			vc := snap.Enc(&vw)
-			comp.snapState(&vc, nil)
-			if !bytes.Equal(vw.Bytes(), *cache) {
-				c.Failf("noc: %s %d changed while marked snapshot-clean — missed mutation site", kind, id)
-			}
-		}
-		w.Raw(*cache)
-		return
-	}
-	start := w.Len()
-	comp.snapState(c, nil)
-	*cache = append((*cache)[:0], w.Bytes()[start:]...)
-	*clean = quiet
 }
 
 // snapState is one live packet by value.

@@ -79,9 +79,6 @@ func (NopTracer) PacketDelivered(*Packet, sim.Cycle) {}
 // SetTracer installs (or, with nil, removes) the lifecycle tracer.
 func (n *Network) SetTracer(t Tracer) { n.tracer = t }
 
-// Tracer returns the installed lifecycle tracer (nil when disabled).
-func (n *Network) Tracer() Tracer { return n.tracer }
-
 // VerifyFunc checks network-wide invariants; returning an error makes the
 // network panic at the end of the offending Tick (fail loudly — a broken
 // conservation or credit invariant means every later result is garbage).

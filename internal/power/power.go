@@ -221,11 +221,6 @@ func (w RegionWindow) Throughput() float64 {
 	return float64(w.Activity.CrossbarTrav) / float64(w.Cycles) / float64(w.ActiveRouters)
 }
 
-// AvgPowerMW returns the window's average power.
-func (w RegionWindow) AvgPowerMW(clockGHz float64) float64 {
-	return AvgPowerMW(w.Energy, w.Cycles, clockGHz)
-}
-
 // CollectRegion harvests the activity windows of the given tiles' routers,
 // NIs, and outgoing channels, covering elapsed cycles of wall time, and
 // returns the region's energy and activity for the window. Router and NI

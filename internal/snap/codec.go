@@ -34,13 +34,8 @@ func Dec(r *Reader) Codec { return Codec{r: r} }
 
 // Decoding reports the direction. Work only one direction needs —
 // validation, allocation and recomputing derived state when decoding;
-// canonical sorting and cached-bytes splicing when encoding — branches
-// on it.
+// canonical sorting when encoding — branches on it.
 func (c *Codec) Decoding() bool { return c.r != nil }
-
-// Writer returns the Writer being appended to, nil when decoding, for
-// encode-only work below the field level (Writer.Raw splices).
-func (c *Codec) Writer() *Writer { return c.w }
 
 // Err returns the first failure, nil if there was none.
 func (c *Codec) Err() error { return c.err }

@@ -123,12 +123,6 @@ func (w *Writer) Bool(v bool) {
 // value including negative zero and NaN payloads.
 func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
 
-// Raw appends bytes verbatim, with no framing. It exists for encoders that
-// cache a component's previous serialization and splice it back in when
-// the component is known unchanged — the bytes must be exactly what the
-// ordinary encoding calls would have produced.
-func (w *Writer) Raw(b []byte) { w.buf = append(w.buf, b...) }
-
 // Reset empties the writer, keeping its backing storage for reuse.
 func (w *Writer) Reset() { w.buf, w.parts = w.buf[:0], w.parts[:0] }
 

@@ -224,9 +224,6 @@ func (a *App) Deliverable(from, to noc.NodeID) bool {
 // Stats implements traffic.View.
 func (a *App) Stats() (win, total *traffic.Stats) { return &a.win.Stats, &a.total.Stats }
 
-// Source returns the app's workload source.
-func (a *App) Source() traffic.Source { return a.src }
-
 // SetForeignMCs configures shared foreign controllers and the fraction of
 // off-chip accesses directed to them.
 func (a *App) SetForeignMCs(mcs []noc.NodeID, frac float64) {

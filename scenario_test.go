@@ -7,8 +7,8 @@ package adaptnoc_test
 // knob (serial and sharded runs end byte-identical), checkpointing is a
 // pure read, a restored run resumes in lockstep at another shard count,
 // a base plus delta frames reconstructs the full blob at every tip, the
-// splice caches are truthful (noc.SnapshotVerify), the invariant checker
-// holds every cycle, and the routing stays deadlock-free.
+// invariant checker holds every cycle, and the routing stays
+// deadlock-free.
 //
 // Plain `go test` replays the f.Add seeds; TestScenarioCoverage pins
 // which cases they draw. The long exploration is
@@ -189,8 +189,8 @@ func drawScenario(seed uint64) scenario {
 	}
 
 	// Half the plans add a frame soon after the checkpoint: a router that
-	// parked just before it still has credits in flight, and a splice
-	// cache that missed one would show in this frame.
+	// parked just before it still has credits in flight, and the frame
+	// taken then must reconstruct the full blob and restore.
 	if pick(2) == 0 {
 		p.Deltas = append([]adaptnoc.Cycle{p.Checkpoint + adaptnoc.Cycle(10+pick(90))}, p.Deltas...)
 	}
@@ -484,15 +484,11 @@ func runScenario(t *testing.T, sc scenario) {
 }
 
 // FuzzScenario draws a scenario per seed and runs it through every
-// identity. The seeds share nothing but the armed SnapshotVerify, so they
-// run in parallel; f.Cleanup (not a defer, which would run before the
-// parallel seeds do) disarms it once the last one finishes.
+// identity. The seeds share nothing, so they run in parallel.
 func FuzzScenario(f *testing.F) {
 	for _, seed := range scenarioSeeds {
 		f.Add(seed)
 	}
-	noc.SnapshotVerify = true
-	f.Cleanup(func() { noc.SnapshotVerify = false })
 	f.Fuzz(func(t *testing.T, seed uint64) {
 		t.Parallel()
 		sc := drawScenario(seed)
@@ -556,7 +552,6 @@ func scenarioCoverage() []coverageRow {
 		covers := []string{
 			"TestDeltaChainByteIdenticalAllDesigns/" + d.String(),
 			"TestCheckpointResumeByteIdenticalAllDesigns/" + d.String(),
-			"TestSnapshotSpliceTruthful/" + d.String(),
 		}
 		switch d {
 		case adaptnoc.DesignBaseline:
@@ -623,7 +618,7 @@ func scenarioCoverage() []coverageRow {
 				return false
 			}},
 		coverageRow{"delta chain across a strike and its repair",
-			[]string{"TestDeltaChainWithFaults", "TestSnapshotSpliceTruthful/faults"},
+			[]string{"TestDeltaChainWithFaults"},
 			func(sc scenario) bool {
 				last := sc.Plan.Deltas[len(sc.Plan.Deltas)-1]
 				for _, ev := range sc.faults() {
@@ -634,8 +629,7 @@ func scenarioCoverage() []coverageRow {
 				}
 				return false
 			}},
-		coverageRow{"frame within 100 cycles of a checkpoint after a strike",
-			[]string{"TestSnapshotSpliceTruthful/faults"},
+		coverageRow{"frame within 100 cycles of a checkpoint after a strike", nil,
 			func(sc scenario) bool {
 				for _, ev := range sc.Config.Faults {
 					if adaptnoc.Cycle(ev.Cycle) < sc.Plan.Checkpoint && sc.Plan.Deltas[0] < sc.Plan.Checkpoint+100 {
@@ -651,7 +645,7 @@ func scenarioCoverage() []coverageRow {
 			[]string{"TestTraceReplayShardByteIdentical", "TestTraceReplayCheckpointResume"},
 			func(sc scenario) bool { return sc.Trace }},
 		coverageRow{"RL training resumed mid-epoch",
-			[]string{"TestCheckpointMidEpochRLTraining/dqn", "TestSnapshotSpliceTruthful/train"},
+			[]string{"TestCheckpointMidEpochRLTraining/dqn"},
 			func(sc scenario) bool { return sc.Config.RL.Train && !sc.Config.UseQTable && sc.midEpoch() }},
 		coverageRow{"Q-table resumed mid-epoch",
 			[]string{"TestCheckpointMidEpochRLTraining/qtable"},
